@@ -9,13 +9,23 @@
 //! after a warm-up so the number reported is the recurring cost a
 //! long-lived daemon actually pays per delta — O(dirty tiles), not O(n).
 //!
-//! The committed `BENCH_alloc.json` snapshot of this table is the baseline
-//! for CI's allocation-regression gate: a change that makes steady-state
-//! `allocs_per_delta` exceed the checked-in figure by more than 10% fails
-//! the build. Refresh the baseline with:
+//! Span recording is on through the churn, so the per-span allocation
+//! attribution splits each delta's allocations into the dirty tiles'
+//! re-plans (the `replan_tiles` span) and everything else
+//! (`fixed_allocs_per_delta`): the part that must not grow with the
+//! field. Spans only see their own thread's allocations, so the split is
+//! exact at one worker thread; with more, the pool workers' share of the
+//! re-plans lands in the fixed figure.
+//!
+//! CI's allocation gate runs the smoke profile (20k and 80k sensors) at
+//! `MDG_THREADS=1` and fails the build if `fixed_allocs_per_delta` at 80k
+//! exceeds 1.25× the 20k figure — the same deltas must not allocate more
+//! outside their tile re-plans on a field four times larger — or if the
+//! 20k `allocs_per_delta` exceeds the committed `BENCH_alloc.json`
+//! snapshot by more than 10%. Refresh the snapshot with:
 //!
 //! ```console
-//! $ MDG_ALLOC_JSON=BENCH_alloc.json \
+//! $ MDG_THREADS=1 MDG_ALLOC_JSON=BENCH_alloc.json \
 //!   cargo run --release -p mdg-bench --bin experiments -- alloc
 //! ```
 //!
@@ -43,10 +53,11 @@ const WARMUP_ROUNDS: usize = 4;
 /// Field sizes swept per profile, constant density (side = sqrt(n)·10).
 /// The 20k floor matches CI's alloc-gate point: big enough that the field
 /// tiles (so deltas stay incremental), small enough for a debug-build CI
-/// loop.
+/// loop. The smoke profile's 80k point is the gate's "same deltas, 4×
+/// the field" comparison (S6's churn kills two sensors per delta at both).
 fn sweep(p: &Params) -> &'static [usize] {
     match p.profile {
-        Profile::Smoke => &[20_000],
+        Profile::Smoke => &[20_000, 80_000],
         Profile::Default => &[20_000, 100_000],
         Profile::Full => &[20_000, 100_000, 1_000_000],
     }
@@ -75,12 +86,15 @@ pub fn alloc(p: &Params) -> Table {
             "cold_mib",
             "warm_rounds",
             "allocs_per_delta",
+            "fixed_allocs_per_delta",
             "kib_per_delta",
             "peak_mib",
             "reuse_ratio",
         ],
     );
+    let _obs = crate::obs_lock();
     let was_counting = counting();
+    let was_profiling = mdg_obs::enabled();
     set_counting(true);
     for &n in sweep(p) {
         let side = (n as f64).sqrt() * 10.0;
@@ -94,6 +108,9 @@ pub fn alloc(p: &Params) -> Table {
                 .expect("alloc bench: cold plan");
         let cold = totals().since(&base);
 
+        // Spans go on with the warm-up, so their registry entries exist
+        // before the window; in it, each span costs one path string.
+        mdg_obs::set_enabled(true);
         for round in 0..WARMUP_ROUNDS {
             let (died, added) = churn_round(n, side, round, rounds);
             session
@@ -101,6 +118,7 @@ pub fn alloc(p: &Params) -> Table {
                 .expect("alloc bench: warm-up delta");
         }
 
+        let spans_before = mdg_obs::snapshot();
         let base = totals();
         for round in WARMUP_ROUNDS..rounds {
             let (died, added) = churn_round(n, side, round, rounds);
@@ -109,9 +127,18 @@ pub fn alloc(p: &Params) -> Table {
                 .expect("alloc bench: steady delta");
         }
         let steady = totals().since(&base);
+        mdg_obs::set_enabled(was_profiling);
+        let replan_allocs: u64 = mdg_obs::snapshot()
+            .diff(&spans_before)
+            .spans
+            .iter()
+            .filter(|s| s.path == "hier/delta/replan_tiles")
+            .map(|s| s.alloc_count)
+            .sum();
 
         let r = steady_rounds(p) as f64;
         let allocs_per_delta = steady.count as f64 / r;
+        let fixed_allocs_per_delta = steady.count.saturating_sub(replan_allocs) as f64 / r;
         let kib_per_delta = steady.bytes as f64 / r / 1024.0;
         let peak_mib = steady.peak as f64 / (1024.0 * 1024.0);
         let cold_mib = cold.bytes as f64 / (1024.0 * 1024.0);
@@ -131,26 +158,32 @@ pub fn alloc(p: &Params) -> Table {
             cold_mib,
             r,
             allocs_per_delta,
+            fixed_allocs_per_delta,
             kib_per_delta,
             peak_mib,
             reuse_ratio,
         ]);
         println!(
             "  alloc: n = {n:>7}  cold {:>10} allocs / {cold_mib:>8.1} MiB  \
-             steady {allocs_per_delta:>10.0} allocs/delta / {kib_per_delta:>9.1} KiB  \
-             reuse {reuse_ratio:>7.0}x",
+             steady {allocs_per_delta:>10.0} allocs/delta ({fixed_allocs_per_delta:>8.0} fixed) / \
+             {kib_per_delta:>9.1} KiB  reuse {reuse_ratio:>7.0}x",
             cold.count
         );
     }
     set_counting(was_counting);
+    let threads = mdg_par::threads();
     t.notes = format!(
         "Counting global allocator over one hierarchical session per point (hier_threshold = 0), \
-         S6's deterministic churn. cold_* is the full cold plan's bill; allocs_per_delta / \
-         kib_per_delta average the {WARMUP_ROUNDS}-round-warmed steady window, so they exclude \
-         pool growth; peak_mib is the high-water live-byte mark during that window; reuse_ratio \
-         = cold_allocs / allocs_per_delta. The committed BENCH_alloc.json row at n = 20000 is \
-         CI's regression baseline (fail at > 10% more allocs per delta). Numbers are process-wide \
-         and only exact when the experiment runs alone in the process."
+         S6's deterministic churn, {threads} worker thread(s), span recording on through the \
+         churn. cold_* is the full cold plan's bill; allocs_per_delta / kib_per_delta average \
+         the {WARMUP_ROUNDS}-round-warmed steady window, so they exclude pool growth; \
+         fixed_allocs_per_delta leaves out the allocations attributed to the delta's \
+         replan_tiles span (exact at 1 thread; with more, pool workers' re-plan allocations \
+         count as fixed); peak_mib is the high-water live-byte mark during that window; \
+         reuse_ratio = cold_allocs / allocs_per_delta. CI (MDG_THREADS=1) fails if \
+         fixed_allocs_per_delta at n = 80000 exceeds 1.25x the n = 20000 figure, or the \
+         n = 20000 allocs_per_delta exceeds this file's by more than 10%. Numbers are \
+         process-wide and only exact when the experiment runs alone in the process."
     );
     if let Ok(path) = std::env::var("MDG_ALLOC_JSON") {
         if !path.is_empty() {
@@ -174,8 +207,13 @@ mod tests {
     #[test]
     fn smoke_alloc_budget_reports_finite_positive_figures() {
         let t = alloc(&Params::smoke());
-        assert_eq!(t.rows.len(), 1);
-        for col in ["cold_allocs", "allocs_per_delta", "kib_per_delta"] {
+        assert_eq!(t.rows.len(), 2);
+        for col in [
+            "cold_allocs",
+            "allocs_per_delta",
+            "fixed_allocs_per_delta",
+            "kib_per_delta",
+        ] {
             let i = t.col(col).unwrap();
             for row in &t.rows {
                 assert!(

@@ -28,6 +28,16 @@ pub mod table;
 pub use params::Params;
 pub use table::Table;
 
+/// Serializes the experiments that switch `mdg-obs`'s process-wide state
+/// (span recording, the counting allocator, registry resets). This
+/// crate's tests run experiments concurrently, and one run switching
+/// recording off or resetting the registry inside another's window would
+/// corrupt the other's figures.
+pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// All experiment ids, in presentation order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
     "e1",

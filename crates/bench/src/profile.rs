@@ -51,6 +51,7 @@ pub fn profile(p: &Params) -> Table {
         RANGE,
     );
 
+    let _obs = crate::obs_lock();
     mdg_obs::set_enabled(false);
     let mut off_ms = f64::INFINITY;
     let mut plan_off: Option<GatheringPlan> = None;

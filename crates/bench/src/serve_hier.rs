@@ -49,7 +49,7 @@ fn sweep(p: &Params) -> &'static [usize] {
     match p.profile {
         Profile::Smoke => &[10_000],
         Profile::Default => &[10_000, 50_000],
-        Profile::Full => &[10_000, 50_000, 1_000_000],
+        Profile::Full => &[10_000, 100_000, 300_000, 1_000_000],
     }
 }
 
@@ -121,9 +121,24 @@ fn replay_in_process(n: usize, side: f64, seed: u64, r: usize, threads: usize) -
     session.plan().tour_length
 }
 
+/// Wall time the daemon's `delta` handlers spent in `replan_tiles` (the
+/// dirty tiles' cover → prune → tour) between two profile snapshots, in
+/// ms. The path prefix keeps out spans that other in-process users of
+/// the global registry record meanwhile (concurrent tests, say).
+fn replan_tiles_ms(now: &mdg_obs::Profile, before: &mdg_obs::Profile) -> f64 {
+    now.diff(before)
+        .spans
+        .iter()
+        .filter(|s| s.path == "serve/delta/hier/delta/replan_tiles")
+        .map(|s| s.wall_nanos as f64 / 1e6)
+        .sum()
+}
+
 /// S6: warm dirty-tile delta latency vs cold hierarchical plan latency
 /// under sustained small-delta churn, hier sessions at every point.
 pub fn serve_hier(p: &Params) -> Table {
+    // Span recording is switched on for the churn below.
+    let _obs = crate::obs_lock();
     let mut t = Table::new(
         "serve_hier_churn",
         "Hier serving layer under churn (cold hier plan vs warm dirty-tile delta, R = 30 m)",
@@ -133,6 +148,7 @@ pub fn serve_hier(p: &Params) -> Table {
             "cold_ms",
             "delta_p50_ms",
             "delta_p99_ms",
+            "fixed_p50_ms",
             "speedup_p50",
             "req_per_s",
             "full_replans",
@@ -160,7 +176,16 @@ pub fn serve_hier(p: &Params) -> Table {
             .expect("serve_hier bench: plan rejected");
         let r = rounds(p);
         let mut latencies = Vec::with_capacity(r);
+        let mut fixed = Vec::with_capacity(r);
         let mut full_replans = 0u64;
+        // Spans must be on for the churn so each delta's `replan_tiles`
+        // time can be split from the rest (the fixed cost). `Server::start`
+        // already switched recording on (the daemon's metrics need it),
+        // so this only guards that; the snapshots are taken between
+        // requests, outside the server-side timing.
+        let was_profiling = mdg_obs::enabled();
+        mdg_obs::set_enabled(true);
+        let mut before = mdg_obs::snapshot();
         let t_churn = Instant::now();
         for round in 0..r {
             let (died, added) = churn_round(n, side, round, r);
@@ -171,12 +196,18 @@ pub fn serve_hier(p: &Params) -> Table {
             if summary.mode == "replan" {
                 full_replans += 1;
             }
+            let now = mdg_obs::snapshot();
+            fixed.push(summary.elapsed_ms - replan_tiles_ms(&now, &before));
+            before = now;
             latencies.push(summary.elapsed_ms);
         }
         let churn_secs = t_churn.elapsed().as_secs_f64();
+        mdg_obs::set_enabled(was_profiling);
         latencies.sort_by(|a, b| a.total_cmp(b));
+        fixed.sort_by(|a, b| a.total_cmp(b));
         let p50 = percentile(&latencies, 0.50);
         let p99 = percentile(&latencies, 0.99);
+        let fixed_p50 = percentile(&fixed, 0.50);
         let speedup = cold.elapsed_ms / p50.max(1e-9);
         let req_per_s = r as f64 / churn_secs.max(1e-9);
 
@@ -230,13 +261,14 @@ pub fn serve_hier(p: &Params) -> Table {
             cold.elapsed_ms,
             p50,
             p99,
+            fixed_p50,
             speedup,
             req_per_s,
             full_replans as f64,
         ]);
         println!(
             "  serve_hier: n = {n:>7}  cold {:>9.1} ms  delta p50 {p50:>8.2} ms  p99 {p99:>8.2} ms  \
-             speedup {speedup:>7.1}x  {full_replans} full rebuild(s)",
+             fixed p50 {fixed_p50:>6.2} ms  speedup {speedup:>7.1}x  {full_replans} full rebuild(s)",
             cold.elapsed_ms
         );
     }
@@ -251,7 +283,10 @@ pub fn serve_hier(p: &Params) -> Table {
     t.notes = format!(
         "One warm hierarchical session per point (hier_threshold = 0, auto tile sizing); deltas \
          kill max(2, n/100000) deterministic sensors per round and add one sensor every 4th round. \
-         Latencies are server-side wall time; speedup_p50 = cold_ms / delta_p50_ms. Gates: warm \
+         Latencies are server-side wall time, measured with span recording on (the daemon's \
+         metrics and fixed_p50_ms need it), so they include span overhead; fixed_p50_ms is the median over deltas of \
+         the delta's time minus its replan_tiles span (everything but re-planning the dirty \
+         tiles); speedup_p50 = cold_ms / delta_p50_ms. Gates: warm \
          deltas beat the cold plan at every n; at n = 1M, p50 >= {FULL_SPEEDUP_GATE}x under cold \
          with 0 full rebuilds. The smallest point's churn is replayed in-process at 1 and 2 \
          worker threads and must match the daemon's tour bit-for-bit. Host had {cores} CPU \
@@ -283,9 +318,14 @@ mod tests {
         let speedup = t.col("speedup_p50").unwrap();
         let p50 = t.col("delta_p50_ms").unwrap();
         let p99 = t.col("delta_p99_ms").unwrap();
+        let fixed = t.col("fixed_p50_ms").unwrap();
         for row in &t.rows {
             assert!(row[speedup] > 1.0, "warm deltas must beat the cold plan");
             assert!(row[p50] <= row[p99], "percentiles must be ordered");
+            assert!(
+                row[fixed] > 0.0 && row[fixed] <= row[p99],
+                "the fixed cost is part of the delta"
+            );
         }
     }
 }

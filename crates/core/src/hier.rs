@@ -251,7 +251,33 @@ pub struct HierPlan {
     /// Sensor id slots the plan's assignment spans (live + dead).
     n_sensors: usize,
     plan: GatheringPlan,
+    /// Id-indexed: `stop_of[c]` is the plan index of the polling point
+    /// anchored at sensor `c`, for every polling point of the plan (the
+    /// entries of other sensors are meaningless). A patched materialize
+    /// finds each clean stop's previous polling point here.
+    stop_of: Vec<u32>,
+    /// What the last materialize wrote, for [`HierPlan::validate_delta`].
+    footprint: Footprint,
     stats: HierStats,
+}
+
+/// The part of the plan the last materialize wrote. After a cold build
+/// or a full rebuild that is the whole plan (`full`); after a patched
+/// delta it is the dirty tiles' stops and members, the ids that died,
+/// and the clean stops that moved to a new index. The buffers are kept
+/// across deltas so recording the footprint allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Footprint {
+    /// The whole plan was rewritten.
+    full: bool,
+    /// Dirty tiles: each live member's assignment and each stop's
+    /// `covered` list were written fresh.
+    tiles: Vec<u32>,
+    /// Ids that died this delta; their assignment was cleared.
+    died: Vec<u32>,
+    /// Plan indices of clean stops carried to a new index; their covered
+    /// sensors' assignment was rewritten.
+    shifted: Vec<u32>,
 }
 
 impl HierPlan {
@@ -292,6 +318,8 @@ impl HierPlan {
             tiles,
             n_sensors: sensors.len(),
             plan: GatheringPlan::new(sink, Vec::new(), Vec::new()),
+            stop_of: Vec::new(),
+            footprint: Footprint::default(),
             stats: HierStats {
                 n_tiles: 0,
                 n_occupied: 0,
@@ -346,7 +374,136 @@ impl HierPlan {
             .flatten()
             .map(|tp| 72 + tp.stops.len() as u64 * 20 + tp.chosen.len() as u64 * 4)
             .sum::<u64>();
-        tiling + members + tiles + self.plan.approx_bytes()
+        let fp = &self.footprint;
+        let footprint = (fp.tiles.capacity() + fp.died.capacity() + fp.shifted.capacity()) as u64;
+        tiling
+            + members
+            + tiles
+            + self.stop_of.len() as u64 * 4
+            + footprint * 4
+            + self.plan.approx_bytes()
+    }
+
+    /// Validates what the last delta wrote, assuming the plan before it
+    /// was valid: every live member of a dirty tile assigned to an
+    /// in-range stop that lists it, every entry of a dirty tile's
+    /// `covered` lists a live sensor assigned to that stop (and each
+    /// member listed once), every clean
+    /// stop that moved to a new index listed only by sensors assigned to
+    /// that index, the delta's dead ids unassigned, and the tour length
+    /// fresh. The cost follows the footprint (plus `O(stops)` for the
+    /// tour length), not the field.
+    ///
+    /// After a cold build or a full rebuild the whole plan was written,
+    /// so this runs the full [`GatheringPlan::validate_live`] audit.
+    pub fn validate_delta(&self, sensors: &[Point], alive: &[bool]) -> Result<(), String> {
+        let plan = &self.plan;
+        let fp = &self.footprint;
+        if fp.full {
+            return plan.validate_live(sensors, self.range, alive);
+        }
+        let n = sensors.len();
+        if plan.assignment.len() != n || alive.len() != n || self.n_sensors != n {
+            return Err(format!(
+                "assignment/alive cover {}/{} sensors, deployment has {n}",
+                plan.assignment.len(),
+                alive.len()
+            ));
+        }
+        let pps = &plan.polling_points;
+        for &d in &fp.died {
+            if plan.assignment[d as usize] != UNASSIGNED {
+                return Err(format!("sensor {d} died but is still assigned"));
+            }
+        }
+        for &t in &fp.tiles {
+            let t = t as usize;
+            for &s in &self.members[t] {
+                let si = s as usize;
+                if !alive[si] {
+                    return Err(format!("dead sensor {s} is a member of tile {t}"));
+                }
+                let k = plan.assignment[si];
+                let pp = pps
+                    .get(k)
+                    .ok_or_else(|| format!("live sensor {s} assigned to missing stop {k}"))?;
+                let d = sensors[si].dist(pp.pos);
+                if d > self.range + 1e-9 {
+                    return Err(format!(
+                        "live sensor {s} is {d:.2} m from its polling point (range {} m)",
+                        self.range
+                    ));
+                }
+                if !pp.covered.contains(&s) {
+                    return Err(format!("polling point {k} does not list live sensor {s}"));
+                }
+            }
+            // Each member is listed by its own stop (above); the tile's
+            // lists may hold nothing else, so no sensor is listed twice.
+            let mut listed = 0usize;
+            for &c in self.tiles[t].iter().flat_map(|tp| &tp.cands) {
+                let k = self.stop_of[c as usize] as usize;
+                let pp = pps
+                    .get(k)
+                    .filter(|pp| pp.candidate == c as usize)
+                    .ok_or_else(|| format!("tile {t}'s stop at sensor {c} is not in the plan"))?;
+                listed += pp.covered.len();
+                for &s in &pp.covered {
+                    if !alive.get(s as usize).copied().unwrap_or(false) {
+                        return Err(format!(
+                            "polling point {k} lists dead or unknown sensor {s}"
+                        ));
+                    }
+                    if plan.assignment[s as usize] != k {
+                        return Err(format!(
+                            "polling point {k} lists sensor {s}, which is assigned to {}",
+                            plan.assignment[s as usize]
+                        ));
+                    }
+                }
+            }
+            if listed != self.members[t].len() {
+                return Err(format!(
+                    "tile {t}'s stops list {listed} entries for {} members",
+                    self.members[t].len()
+                ));
+            }
+        }
+        for &k in &fp.shifted {
+            let k = k as usize;
+            let pp = pps
+                .get(k)
+                .ok_or_else(|| format!("moved stop {k} is not in the plan"))?;
+            if self.stop_of[pp.candidate] as usize != k {
+                return Err(format!("moved stop {k} is not indexed at its position"));
+            }
+            // (Dead entries are tolerated, as in `validate_live`; the
+            // alive mask is read only on a mismatch.)
+            for &s in &pp.covered {
+                let si = s as usize;
+                if plan.assignment.get(si).is_some_and(|&a| a != k) && alive[si] {
+                    return Err(format!(
+                        "sensor {s} is listed by moved stop {k} but still assigned to {}",
+                        plan.assignment[si]
+                    ));
+                }
+            }
+        }
+        // The tour length, recomputed in place (no position copy).
+        let mut recomputed = 0.0;
+        let mut prev = plan.sink;
+        for pp in pps {
+            recomputed += prev.dist(pp.pos);
+            prev = pp.pos;
+        }
+        recomputed += prev.dist(plan.sink);
+        if (recomputed - plan.tour_length).abs() > 1e-6 {
+            return Err(format!(
+                "stored tour length {} != recomputed {recomputed}",
+                plan.tour_length
+            ));
+        }
+        Ok(())
     }
 
     /// Applies a delta — sensor deaths, appended sensors, and/or a range
@@ -386,6 +543,11 @@ impl HierPlan {
 
         let range_changed = new_range.is_some_and(|r| (r - self.range).abs() > 1e-12);
         let occupied_before = self.stats.n_occupied;
+        let fp = &mut self.footprint;
+        fp.full = false;
+        fp.tiles.clear();
+        fp.died.clear();
+        fp.shifted.clear();
 
         // 1. Route the delta to its dirty tiles via the position → tile
         //    lattice map. Member lists are updated here even when we end
@@ -406,6 +568,7 @@ impl HierPlan {
                 let t = self.tiling.tile_of(sensors[s]);
                 if let Ok(i) = self.members[t].binary_search(&d) {
                     self.members[t].remove(i);
+                    self.footprint.died.push(d);
                     if !dirty[t] {
                         dirty[t] = true;
                         n_dirty += 1;
@@ -489,8 +652,11 @@ impl HierPlan {
             self.tiles[dirty_list[k]] = tp;
         }
 
-        // 4. Re-stitch from the retained sub-tours and polish only the
-        //    dirty-adjacent seams.
+        // 4. Re-stitch from the retained sub-tours, polish only the
+        //    dirty-adjacent seams, and patch the plan where it changed.
+        self.footprint
+            .tiles
+            .extend(dirty_list.iter().map(|&t| t as u32));
         self.materialize(sensors, Some(&dirty));
         mdg_par::scratch::put(dirty);
         mdg_par::scratch::put(dirty_list);
@@ -535,9 +701,15 @@ impl HierPlan {
     /// Rebuilds the materialized [`GatheringPlan`] from the retained
     /// per-tile sub-tours: serpentine stitch, seam touch-up, assignment.
     ///
-    /// `dirty`: `None` polishes every seam (cold build / full rebuild);
-    /// `Some(mask)` seeds the touch-up only at seam stops whose tour
-    /// neighborhood touches a dirty tile.
+    /// `dirty`: `None` polishes every seam and builds the assignment and
+    /// every `covered` list from scratch (cold build / full rebuild).
+    /// `Some(mask)` (with the dirty tiles listed in the footprint) seeds
+    /// the touch-up only at seam stops whose tour neighborhood touches a
+    /// dirty tile, and patches the previous plan: clean stops keep their
+    /// polling points, `covered` lists included; only the dirty tiles'
+    /// stops and members are written fresh, and the sensors of clean
+    /// stops that moved to a new index are re-pointed. Both produce the
+    /// same plan bit for bit.
     fn materialize(&mut self, sensors: &[Point], dirty: Option<&[bool]>) {
         let ordered: Vec<&TilePlan> = self
             .tiling
@@ -576,12 +748,11 @@ impl HierPlan {
                     // Only seams whose tour neighborhood touches a dirty
                     // tile need re-polishing; clean seams were polished
                     // when their tiles last changed.
+                    // `cycle_pts[k + 1]` is stop k's position: reading it
+                    // streams, where `sensors[cands[k]]` would miss cache
+                    // on every stop of a large field.
                     let mut stop_dirty: Vec<bool> = mdg_par::scratch::take_cap(m);
-                    stop_dirty.extend(
-                        cands
-                            .iter()
-                            .map(|&c| mask[self.tiling.tile_of(sensors[c as usize])]),
-                    );
+                    stop_dirty.extend(cycle_pts[1..].iter().map(|&p| mask[self.tiling.tile_of(p)]));
                     if stop_dirty[0] || stop_dirty[m - 1] {
                         seeds.push(0);
                     }
@@ -599,18 +770,21 @@ impl HierPlan {
                 }
             };
             if !seeds.is_empty() {
-                let nl = NeighborLists::build(&cycle_pts, TOUCH_UP_NEIGHBORS);
+                // The seeded passes read candidate rows only around the
+                // seeds and the cities their moves wake, so rows are
+                // computed on first access rather than for every stop.
+                let mut nl = NeighborLists::lazy(&cycle_pts, TOUCH_UP_NEIGHBORS);
                 let tour = two_opt_neighbors_seeded(
                     &cycle_pts,
                     Tour::identity(cycle_pts.len()),
-                    &nl,
+                    &mut nl,
                     1e-9,
                     &seeds,
                 );
                 let tour = or_opt_neighbors_seeded(
                     &cycle_pts,
                     tour,
-                    &nl,
+                    &mut nl,
                     TOUCH_UP_MAX_SEGMENT,
                     1e-9,
                     &seeds,
@@ -627,59 +801,12 @@ impl HierPlan {
             mdg_par::scratch::put(seeds);
         }
 
-        // Assignment: scatter each tile's choices into an id-indexed
-        // table (live members partition across tiles, so each slot is
-        // written at most once; dead slots stay UNASSIGNED), then map the
-        // chosen stop ids to tour positions.
         self.plan = {
             let _sp = mdg_obs::span("assign");
-            let n = self.n_sensors;
-            // Both id-indexed tables are O(sensors) and rebuilt each
-            // materialize; at a million sensors pooling them avoids two
-            // multi-megabyte allocations per delta. (The assignment and
-            // covered lists leave in the plan, so they stay owned.)
-            let mut chosen: Vec<u32> = mdg_par::scratch::take_cap(n);
-            chosen.resize(n, u32::MAX);
-            for (t, tp) in self.tiles.iter().enumerate() {
-                if let Some(tp) = tp {
-                    for (i, &g) in self.members[t].iter().enumerate() {
-                        chosen[g as usize] = tp.chosen[i];
-                    }
-                }
+            match dirty {
+                None => self.assign_all(sensors, &cands),
+                Some(mask) => self.assign_patched(&cycle_pts, &cands, mask),
             }
-            let mut pp_of: Vec<u32> = mdg_par::scratch::take_cap(n);
-            pp_of.resize(n, u32::MAX);
-            for (k, &c) in cands.iter().enumerate() {
-                pp_of[c as usize] = k as u32;
-            }
-            let assignment: Vec<usize> = chosen
-                .iter()
-                .map(|&c| {
-                    if c == u32::MAX {
-                        UNASSIGNED
-                    } else {
-                        pp_of[c as usize] as usize
-                    }
-                })
-                .collect();
-            mdg_par::scratch::put(chosen);
-            mdg_par::scratch::put(pp_of);
-            let mut covered: Vec<Vec<u32>> = vec![Vec::new(); cands.len()];
-            for (s, &k) in assignment.iter().enumerate() {
-                if k != UNASSIGNED {
-                    covered[k].push(s as u32);
-                }
-            }
-            let polling_points: Vec<PollingPoint> = cands
-                .iter()
-                .zip(covered)
-                .map(|(&c, cov)| PollingPoint {
-                    pos: sensors[c as usize],
-                    candidate: c as usize,
-                    covered: cov,
-                })
-                .collect();
-            GatheringPlan::new(self.sink, polling_points, assignment)
         };
         debug_assert!(
             (self.plan.tour_length - mdg_geom::closed_tour_length(&cycle_pts)).abs() < 1e-6
@@ -693,6 +820,146 @@ impl HierPlan {
             spliced_stops: spliced,
             tile_side: self.tiling.side(),
         };
+    }
+
+    /// The whole plan for the stitched stops `cands`: every assignment
+    /// and `covered` list built from the tiles' choices, `O(sensors)`.
+    fn assign_all(&mut self, sensors: &[Point], cands: &[u32]) -> GatheringPlan {
+        // Scatter each tile's choices into an id-indexed table (live
+        // members partition across tiles, so each slot is written at most
+        // once; dead slots stay UNASSIGNED), then map the chosen stop ids
+        // to tour positions.
+        let n = self.n_sensors;
+        // The chosen table is O(sensors); pooling it avoids a
+        // multi-megabyte allocation per rebuild at a million sensors.
+        // (The assignment and covered lists leave in the plan, so they
+        // stay owned.)
+        let mut chosen: Vec<u32> = mdg_par::scratch::take_cap(n);
+        chosen.resize(n, u32::MAX);
+        for (t, tp) in self.tiles.iter().enumerate() {
+            if let Some(tp) = tp {
+                for (i, &g) in self.members[t].iter().enumerate() {
+                    chosen[g as usize] = tp.chosen[i];
+                }
+            }
+        }
+        let stop_of = &mut self.stop_of;
+        stop_of.clear();
+        stop_of.resize(n, u32::MAX);
+        for (k, &c) in cands.iter().enumerate() {
+            stop_of[c as usize] = k as u32;
+        }
+        let assignment: Vec<usize> = chosen
+            .iter()
+            .map(|&c| {
+                if c == u32::MAX {
+                    UNASSIGNED
+                } else {
+                    stop_of[c as usize] as usize
+                }
+            })
+            .collect();
+        mdg_par::scratch::put(chosen);
+        let mut covered: Vec<Vec<u32>> = vec![Vec::new(); cands.len()];
+        for (s, &k) in assignment.iter().enumerate() {
+            if k != UNASSIGNED {
+                covered[k].push(s as u32);
+            }
+        }
+        let polling_points: Vec<PollingPoint> = cands
+            .iter()
+            .zip(covered)
+            .map(|(&c, cov)| PollingPoint {
+                pos: sensors[c as usize],
+                candidate: c as usize,
+                covered: cov,
+            })
+            .collect();
+        self.footprint.full = true;
+        GatheringPlan::new(self.sink, polling_points, assignment)
+    }
+
+    /// The plan for the stitched stops `cands` (at `cycle_pts[1..]`,
+    /// after the sink), patched from the previous one after a delta that
+    /// dirtied the tiles in `mask` (listed in the footprint). Costs
+    /// `O(stops)` plus the dirty tiles' members plus the sensors of clean
+    /// stops whose index moved.
+    ///
+    /// The result equals [`HierPlan::assign_all`]'s: a clean tile's
+    /// members, stops and choices are unchanged since the previous plan,
+    /// so each of its stops' `covered` list (ascending ids, live members
+    /// only) is exactly what a rebuild would produce; a dirty tile's
+    /// lists are rebuilt from its ascending member list.
+    fn assign_patched(
+        &mut self,
+        cycle_pts: &[Point],
+        cands: &[u32],
+        mask: &[bool],
+    ) -> GatheringPlan {
+        let n = self.n_sensors;
+        let tiling = &self.tiling;
+        let stop_of = &mut self.stop_of;
+        let fp = &mut self.footprint;
+        let mut old = std::mem::take(&mut self.plan.polling_points);
+        let mut assignment = std::mem::take(&mut self.plan.assignment);
+        assignment.resize(n, UNASSIGNED);
+        stop_of.resize(n, u32::MAX);
+        for &d in &fp.died {
+            assignment[d as usize] = UNASSIGNED;
+        }
+        // Clean stops move their polling point (covered list and all)
+        // from the previous plan; a moved index re-points its sensors.
+        // The stop vector is pooled: it is O(stops) and replaced every
+        // delta.
+        let mut polling_points: Vec<PollingPoint> = mdg_par::scratch::take_cap(cands.len());
+        let mut moved = 0usize;
+        for (k, (&c, &pos)) in cands.iter().zip(&cycle_pts[1..]).enumerate() {
+            let covered = if mask[tiling.tile_of(pos)] {
+                // A dirty tile's stop; its list is filled below.
+                stop_of[c as usize] = k as u32;
+                Vec::new()
+            } else {
+                let j = stop_of[c as usize] as usize;
+                debug_assert_eq!(old[j].candidate, c as usize, "clean stop indexed");
+                let covered = std::mem::take(&mut old[j].covered);
+                if j != k {
+                    stop_of[c as usize] = k as u32;
+                    moved += covered.len();
+                    for &s in &covered {
+                        assignment[s as usize] = k;
+                    }
+                    fp.shifted.push(k as u32);
+                }
+                covered
+            };
+            polling_points.push(PollingPoint {
+                pos,
+                candidate: c as usize,
+                covered,
+            });
+        }
+        mdg_par::scratch::put(old);
+        mdg_obs::counter("hier/moved_sensors").add(moved as u64);
+        // Dirty tiles' members, ascending, fill their stops' fresh lists.
+        for &t in &fp.tiles {
+            let t = t as usize;
+            if let Some(tp) = &self.tiles[t] {
+                for (&s, &c) in self.members[t].iter().zip(&tp.chosen) {
+                    let k = stop_of[c as usize] as usize;
+                    polling_points[k].covered.push(s);
+                    assignment[s as usize] = k;
+                }
+            }
+        }
+        // `cycle_pts` is the plan's tour (sink first), so this is the
+        // length `GatheringPlan::new` would compute, without copying the
+        // positions out again.
+        GatheringPlan {
+            sink: self.sink,
+            polling_points,
+            assignment,
+            tour_length: mdg_geom::closed_tour_length(cycle_pts),
+        }
     }
 }
 
@@ -862,7 +1129,7 @@ fn cycle_over(inst: &CoverageInstance, selected: &[usize], improve_passes: usize
         let cost = mdg_tour::EuclideanCost::new(&pts);
         let tour = mdg_tour::cheapest_insertion(&cost);
         if improve_passes > 0 {
-            let nl = NeighborLists::build(&pts, 10);
+            let mut nl = NeighborLists::build(&pts, 10);
             improve_neighbors(
                 &pts,
                 tour,
@@ -870,7 +1137,7 @@ fn cycle_over(inst: &CoverageInstance, selected: &[usize], improve_passes: usize
                     max_passes: improve_passes,
                     ..ImproveConfig::default()
                 },
-                &nl,
+                &mut nl,
             )
         } else {
             tour.normalized()
@@ -1395,6 +1662,141 @@ mod tests {
             hp.plan().tour_length,
             cold.plan().tour_length
         );
+    }
+
+    /// Replays a churn sequence on `field(n, side, seed)` and hands the
+    /// plan to `check` after every patched delta.
+    fn churn(
+        n: usize,
+        side: f64,
+        seed: u64,
+        rounds: u64,
+        mut check: impl FnMut(&HierPlan, &[Point], &[bool]),
+    ) {
+        let (mut sensors, sink, mut alive) = field(n, side, seed);
+        let mut hp = HierPlan::build(&sensors, sink, 30.0, multi_tile_cfg()).unwrap();
+        for round in 0..rounds {
+            // Kill a stop anchor every other round: that changes the
+            // dirty tile's stop count and shifts the stops after it.
+            let victim = if round % 2 == 0 {
+                let pps = &hp.plan().polling_points;
+                pps[(round as usize * 37 + seed as usize) % pps.len()].candidate as u32
+            } else {
+                ((round * 7919 + seed * 104_729) % n as u64) as u32
+            };
+            let died: Vec<u32> = [victim]
+                .into_iter()
+                .filter(|&d| alive[d as usize])
+                .collect();
+            for &d in &died {
+                alive[d as usize] = false;
+            }
+            if round % 3 == 1 {
+                let g = sensors.len();
+                sensors.push(Point::new(
+                    (g as f64 * 41.0) % side,
+                    (g as f64 * 59.0) % side,
+                ));
+                alive.push(true);
+            }
+            let report = hp.apply_delta(&sensors, &alive, &died, None).unwrap();
+            if !report.full_rebuild {
+                check(&hp, &sensors, &alive);
+            }
+        }
+    }
+
+    #[test]
+    fn patched_plan_equals_a_full_reassignment() {
+        for seed in [3u64, 8, 21] {
+            churn(900, 700.0, seed, 12, |hp, sensors, alive| {
+                hp.validate_delta(sensors, alive).unwrap();
+                hp.plan().validate_live(sensors, hp.range(), alive).unwrap();
+                // Rebuild the assignment and every covered list from the
+                // tiles' choices over the same stitched stops.
+                let cands: Vec<u32> = hp
+                    .plan()
+                    .polling_points
+                    .iter()
+                    .map(|pp| pp.candidate as u32)
+                    .collect();
+                let full = hp.clone().assign_all(sensors, &cands);
+                assert_eq!(&full, hp.plan(), "seed {seed}");
+            });
+        }
+    }
+
+    #[test]
+    fn delta_check_rejects_corruption_in_the_footprint() {
+        let (mut flipped, mut dropped, mut stale) = (0, 0, 0);
+        churn(900, 700.0, 5, 16, |hp, sensors, alive| {
+            hp.validate_delta(sensors, alive).unwrap();
+            let fp = &hp.footprint;
+            let tile = fp
+                .tiles
+                .iter()
+                .map(|&t| t as usize)
+                .find(|&t| !hp.members[t].is_empty());
+            if let Some(t) = tile {
+                // A dirty member's assignment flipped to another stop.
+                let s = hp.members[t][0] as usize;
+                let mut bad = hp.clone();
+                let m = bad.plan.polling_points.len();
+                bad.plan.assignment[s] = (bad.plan.assignment[s] + 1) % m;
+                let err = bad.validate_delta(sensors, alive).unwrap_err();
+                assert!(err.contains(&format!("sensor {s}")), "{err}");
+                flipped += 1;
+
+                // A dirty stop's covered list loses an entry.
+                let mut bad = hp.clone();
+                let k = bad.plan.assignment[s];
+                bad.plan.polling_points[k]
+                    .covered
+                    .retain(|&x| x as usize != s);
+                assert!(bad.validate_delta(sensors, alive).is_err());
+                dropped += 1;
+
+                // ... or lists it twice.
+                let mut bad = hp.clone();
+                bad.plan.polling_points[k].covered.push(s as u32);
+                let err = bad.validate_delta(sensors, alive).unwrap_err();
+                assert!(err.contains("entries"), "{err}");
+            }
+            if let Some(&k) = fp.shifted.first() {
+                // A moved stop's sensor keeps pointing at another index.
+                let mut bad = hp.clone();
+                let k = k as usize;
+                let s = *bad.plan.polling_points[k].covered.first().unwrap() as usize;
+                let m = bad.plan.polling_points.len();
+                bad.plan.assignment[s] = (k + m - 1) % m;
+                let err = bad.validate_delta(sensors, alive).unwrap_err();
+                assert!(err.contains("moved stop"), "{err}");
+                stale += 1;
+            }
+            // The full audit agrees on every corruption-free plan.
+            hp.plan().validate_live(sensors, hp.range(), alive).unwrap();
+        });
+        assert!(
+            flipped > 0 && dropped > 0 && stale > 0,
+            "{flipped}/{dropped}/{stale}"
+        );
+    }
+
+    #[test]
+    fn delta_check_audits_everything_after_a_rebuild() {
+        let (sensors, sink, alive) = field(600, 600.0, 4);
+        let mut hp = HierPlan::build(&sensors, sink, 30.0, multi_tile_cfg()).unwrap();
+        assert!(hp.footprint.full, "the cold plan was written whole");
+        hp.validate_delta(&sensors, &alive).unwrap();
+        // A corruption far from any delta is only visible to the audit.
+        let mut bad = hp.clone();
+        let last = bad.plan.polling_points.len() - 1;
+        bad.plan.polling_points[last].covered.clear();
+        assert!(bad.validate_delta(&sensors, &alive).is_err());
+        // A no-op delta writes nothing and has nothing to check.
+        hp.apply_delta(&sensors, &alive, &[], None).unwrap();
+        assert!(!hp.footprint.full && hp.footprint.tiles.is_empty());
+        hp.validate_delta(&sensors, &alive).unwrap();
     }
 
     #[test]

@@ -165,7 +165,13 @@ impl GatheringPlan {
     /// live sensor assigned to an in-range polling point, `covered` lists
     /// consistent with `assignment` (for live sensors), and the stored
     /// tour length fresh. Dead sensors may be [`UNASSIGNED`] or still
-    /// carry a stale assignment; both are accepted.
+    /// carry a stale assignment, and may linger in `covered` lists; all
+    /// of that is accepted.
+    ///
+    /// Consistency runs both ways: a live sensor must be listed by the
+    /// polling point it is assigned to, and a live sensor listed in
+    /// `covered[j]` must be assigned to `j`, listed once — so no live
+    /// sensor is listed twice (the collector would wait for it twice).
     pub fn validate_live(
         &self,
         sensors: &[Point],
@@ -180,10 +186,12 @@ impl GatheringPlan {
                 sensors.len()
             ));
         }
+        let mut live = 0usize;
         for (s, &pp) in self.assignment.iter().enumerate() {
             if !alive[s] {
                 continue;
             }
+            live += 1;
             if pp == UNASSIGNED {
                 return Err(format!("live sensor {s} is unassigned"));
             }
@@ -202,6 +210,40 @@ impl GatheringPlan {
                     "polling point {pp} does not list live sensor {s} as covered"
                 ));
             }
+        }
+        // Every live sensor is listed by its own polling point (above), so
+        // any further live entry lists one twice. Counting finds that
+        // without touching `assignment` again; the offender is located
+        // only on failure.
+        let mut listed = 0usize;
+        for (j, pp) in self.polling_points.iter().enumerate() {
+            for &s in &pp.covered {
+                let s = s as usize;
+                if s >= sensors.len() {
+                    return Err(format!(
+                        "polling point {j} lists sensor {s}, deployment has {}",
+                        sensors.len()
+                    ));
+                }
+                listed += usize::from(alive[s]);
+            }
+        }
+        if listed != live {
+            for (j, pp) in self.polling_points.iter().enumerate() {
+                for &s in &pp.covered {
+                    let s = s as usize;
+                    if alive[s] && self.assignment[s] != j {
+                        return Err(format!(
+                            "polling point {j} lists live sensor {s}, which is assigned to {}",
+                            self.assignment[s]
+                        ));
+                    }
+                }
+            }
+            return Err(format!(
+                "covered lists hold {listed} entries for {live} live sensors (a sensor is \
+                 listed twice)"
+            ));
         }
         let recomputed = mdg_geom::closed_tour_length(&self.tour_positions());
         if (recomputed - self.tour_length).abs() > 1e-6 {
@@ -325,6 +367,28 @@ mod tests {
     fn reorder_rejects_non_permutation() {
         let (mut plan, _) = plan_and_sensors();
         plan.reorder_polling_points(&[0, 0, 1]);
+    }
+
+    #[test]
+    fn live_sensor_listed_by_a_second_point_is_rejected() {
+        let (mut plan, sensors) = plan_and_sensors();
+        // Sensor 1 stays assigned to point 0 but point 1 lists it too
+        // (20 m away, inside a 30 m range): the collector would wait
+        // for it at both stops.
+        plan.polling_points[1].covered.push(1);
+        let err = plan.validate_live(&sensors, 30.0, &[true; 5]).unwrap_err();
+        assert!(err.contains("lists live sensor 1"), "{err}");
+        // A dead sensor lingering in a second list stays tolerated.
+        let alive = [true, false, true, true, true];
+        plan.validate_live(&sensors, 30.0, &alive).unwrap();
+        // A live sensor listed twice by its own point is rejected too.
+        plan.polling_points[0].covered.push(0);
+        let err = plan.validate_live(&sensors, 30.0, &alive).unwrap_err();
+        assert!(err.contains("listed twice"), "{err}");
+        plan.polling_points[0].covered.pop();
+        // An id past the deployment is an error, not a panic.
+        plan.polling_points[2].covered.push(9);
+        assert!(plan.validate_live(&sensors, 30.0, &alive).is_err());
     }
 
     #[test]

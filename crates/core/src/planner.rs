@@ -292,7 +292,7 @@ impl ShdgPlanner {
             let cost = mdg_tour::EuclideanCost::new(&pts);
             let tour = mdg_tour::cheapest_insertion(&cost);
             if improve_passes > 0 {
-                let nl = mdg_tour::NeighborLists::build(&pts, 10);
+                let mut nl = mdg_tour::NeighborLists::build(&pts, 10);
                 mdg_tour::improve_neighbors(
                     &pts,
                     tour,
@@ -300,7 +300,7 @@ impl ShdgPlanner {
                         max_passes: improve_passes,
                         ..ImproveConfig::default()
                     },
-                    &nl,
+                    &mut nl,
                 )
             } else {
                 tour.normalized()

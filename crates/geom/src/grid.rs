@@ -61,11 +61,15 @@ impl SpatialGrid {
         let origin = bb.min;
         // Cap the cell count at ~4 buckets per point: a cell far smaller
         // than the point spacing only wastes memory (a 1 mm radio range
-        // over a 300 m field must not allocate 10¹¹ buckets). Queries stay
-        // correct for any cell size because the scan radius is computed
-        // from `radius / cell`.
+        // over a 300 m field must not allocate 10¹¹ buckets). A flat
+        // extent (collinear points) has next to no area, so the longer
+        // side alone must also stay within the cap. Queries stay correct
+        // for any cell size because the scan radius is computed from
+        // `radius / cell`.
         let max_cells = (4 * points.len()).max(64);
-        let min_cell = (bb.width().max(1e-12) * bb.height().max(1e-12) / max_cells as f64).sqrt();
+        let min_cell = (bb.width().max(1e-12) * bb.height().max(1e-12) / max_cells as f64)
+            .sqrt()
+            .max(bb.width().max(bb.height()) / max_cells as f64);
         let cell = cell.max(min_cell);
         let cols = ((bb.width() / cell).floor() as usize + 1).max(1);
         let rows = ((bb.height() / cell).floor() as usize + 1).max(1);
@@ -464,6 +468,25 @@ mod tests {
         // Querying from a co-located duplicate's own index behaves like any
         // other exclusion.
         assert_eq!(grid.k_nearest(pts[2], 2, Some(2)), vec![0, 1]);
+    }
+
+    #[test]
+    fn collinear_points_keep_the_cell_count_bounded() {
+        // Zero-height extent: the area-based cap alone would allow a
+        // ~1e-8 m cell and ~10¹⁰ buckets along the line.
+        let pts: Vec<Point> = (0..150).map(|i| Point::new(i as f64 * 2.5, 7.0)).collect();
+        let grid = SpatialGrid::build(&pts, 1e-8);
+        assert!(
+            grid.cols * grid.rows <= 4 * pts.len() + 1,
+            "{} cells",
+            grid.cols * grid.rows
+        );
+        for (i, &q) in pts.iter().enumerate().step_by(13) {
+            assert_eq!(
+                grid.k_nearest(q, 4, Some(i as u32)),
+                brute_k_nearest(&pts, q, 4, Some(i as u32))
+            );
+        }
     }
 
     #[test]

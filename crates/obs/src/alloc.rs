@@ -6,7 +6,7 @@
 //! *measurable* instead of aspirational. [`CountingAlloc`] wraps the
 //! system allocator and — only while counting is switched on — tallies
 //! every allocation's count and bytes, tracks the live-bytes high-water
-//! mark, and lets [`crate::span`]s attribute the traffic of their window
+//! mark, and lets [`crate::span()`]s attribute the traffic of their window
 //! to the phase tree (`alloc_count` / `alloc_bytes` / `alloc_peak` on
 //! [`crate::SpanRecord`]).
 //!

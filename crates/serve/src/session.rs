@@ -34,8 +34,14 @@
 //!    escalate when ≥ 50% of occupied tiles are dirty or the range
 //!    changed. The session reports the delta as `mode: "replan"`.
 //!
-//! Every delta ends with [`GatheringPlan::validate_live`]: an invalid
-//! repaired plan is a hard error, never silently served. The error type
+//! Every delta ends with a validation in a `delta/validate` span: an
+//! invalid repaired plan is a hard error, never silently served. Flat
+//! sessions run [`GatheringPlan::validate_live`]. Hier sessions check
+//! what the delta wrote ([`HierPlan::validate_delta`]) — sound because
+//! the previous generation passed — and run the full `validate_live`
+//! audit on every full rebuild, on every [`AUDIT_EVERY`]th generation,
+//! and on every delta of a debug build (so every test suite audits
+//! everything). The error type
 //! distinguishes the two failure worlds — [`DeltaError::Invalid`] (the
 //! request was rejected before any mutation; the session is fine) versus
 //! [`DeltaError::Corrupt`] (the session mutated and then failed
@@ -60,6 +66,11 @@ use std::time::Instant;
 /// is still untouched. 10⁹ km is eight orders of magnitude beyond any
 /// deployable field, so no legitimate request is affected.
 pub const MAX_COORD: f64 = 1e12;
+
+/// A hier session runs the full [`GatheringPlan::validate_live`] audit on
+/// every generation that is a multiple of this (and on every full
+/// rebuild); the generations between check only what their delta wrote.
+pub const AUDIT_EVERY: u64 = 64;
 
 /// Why a delta failed — and, critically, whether the session survived it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +161,8 @@ pub struct FieldSession {
     /// Session name (the protocol's `field`).
     pub name: String,
     alive: Vec<bool>,
+    /// Live entries of `alive`, kept by [`FieldSession::apply_delta`].
+    n_live: usize,
     state: State,
     /// Monotonic plan generation (0 = the cold plan).
     pub generation: u64,
@@ -178,6 +191,7 @@ impl FieldSession {
         let alive = vec![true; net.n_sensors()];
         Ok(FieldSession {
             name: name.into(),
+            n_live: alive.len(),
             alive,
             state: State::Flat {
                 net,
@@ -212,6 +226,7 @@ impl FieldSession {
         let alive = vec![true; sensors.len()];
         Ok(FieldSession {
             name: name.into(),
+            n_live: alive.len(),
             alive,
             state: State::Hier { sensors, hier },
             generation: 0,
@@ -291,7 +306,8 @@ impl FieldSession {
 
     /// Number of live sensors.
     pub fn n_live(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        debug_assert_eq!(self.n_live, self.alive.iter().filter(|&&a| a).count());
+        self.n_live
     }
 
     /// Rough heap footprint of the warm state, in bytes. Feeds the
@@ -368,6 +384,9 @@ impl FieldSession {
         }
 
         let alive = &mut self.alive;
+        let n_live = &mut self.n_live;
+        *n_live += added.len();
+        let generation = self.generation + 1;
         let mode = match &mut self.state {
             State::Flat {
                 net,
@@ -376,7 +395,10 @@ impl FieldSession {
                 repair_cfg,
             } => {
                 for &s in died {
-                    alive[s as usize] = false;
+                    if alive[s as usize] {
+                        alive[s as usize] = false;
+                        *n_live -= 1;
+                    }
                 }
 
                 // Structural changes (growth, range change) invalidate the
@@ -413,10 +435,13 @@ impl FieldSession {
 
                 // Past this point the session has mutated: a validation
                 // failure is corruption, not a rejectable request.
-                plan.validate_live(&net.deployment.sensors, net.range, alive)
-                    .map_err(|e| {
-                        DeltaError::Corrupt(format!("repaired plan failed validation: {e}"))
-                    })?;
+                {
+                    let _sp = mdg_obs::span("delta/validate");
+                    plan.validate_live(&net.deployment.sensors, net.range, alive)
+                        .map_err(|e| {
+                            DeltaError::Corrupt(format!("repaired plan failed validation: {e}"))
+                        })?;
+                }
 
                 if report.full_replan {
                     DeltaMode::Replan
@@ -437,6 +462,7 @@ impl FieldSession {
                         newly_dead.push(s as u32);
                     }
                 }
+                *n_live -= newly_dead.len();
                 sensors.extend_from_slice(added);
                 alive.resize(sensors.len(), true);
 
@@ -445,11 +471,18 @@ impl FieldSession {
                 let report = report
                     .map_err(|e| DeltaError::Corrupt(format!("dirty-tile replan failed: {e}")))?;
 
-                hier.plan()
-                    .validate_live(sensors, hier.range(), alive)
-                    .map_err(|e| {
+                {
+                    let _sp = mdg_obs::span("delta/validate");
+                    let corrupt = |e: String| {
                         DeltaError::Corrupt(format!("hier delta plan failed validation: {e}"))
-                    })?;
+                    };
+                    hier.validate_delta(sensors, alive).map_err(corrupt)?;
+                    if generation % AUDIT_EVERY == 0 || cfg!(debug_assertions) {
+                        hier.plan()
+                            .validate_live(sensors, hier.range(), alive)
+                            .map_err(corrupt)?;
+                    }
+                }
 
                 if report.full_rebuild {
                     DeltaMode::Replan
@@ -461,7 +494,7 @@ impl FieldSession {
             }
         };
 
-        self.generation += 1;
+        self.generation = generation;
         self.stats.deltas += 1;
         match mode {
             DeltaMode::Replan => self.stats.full_replans += 1,
@@ -677,6 +710,17 @@ mod tests {
             assert_eq!(s.generation, killed);
         }
         assert_eq!(s.n_live(), 195);
+    }
+
+    #[test]
+    fn live_count_ignores_repeated_deaths() {
+        for mut s in [session(120, 15), hier_session(500, 15)] {
+            s.apply_delta(&[4, 4, 9], &[], None).unwrap();
+            s.apply_delta(&[9, 11], &[Point::new(20.0, 20.0)], None)
+                .unwrap();
+            assert_eq!(s.n_live(), s.alive().len() - 3, "{}", s.kind());
+            assert_eq!(s.info().live, s.n_live() as u64);
+        }
     }
 
     #[test]

@@ -22,24 +22,49 @@ use crate::tour::Tour;
 use mdg_geom::{Point, SpatialGrid};
 use std::collections::VecDeque;
 
-/// Per-city k-nearest-neighbor candidate lists, built once from a
-/// [`SpatialGrid`] over the city coordinates and reused by every
-/// neighbor-list pass.
+/// Per-city k-nearest-neighbor candidate lists over a [`SpatialGrid`] of
+/// the city coordinates, reused by every neighbor-list pass.
 ///
 /// Lists are sorted by ascending distance (ties by index), which the 2-opt
-/// scan relies on for its early-exit prune.
+/// scan relies on for its early-exit prune. [`NeighborLists::build`]
+/// computes every row up front; [`NeighborLists::lazy`] computes a row on
+/// its first access ([`NeighborLists::row`]), for seeded passes that only
+/// visit a few cities of a large tour. Both query the same grid, so a row
+/// is identical whichever way it was made.
 #[derive(Debug, Clone)]
 pub struct NeighborLists {
     /// Per-city list length: `min(k, n - 1)`.
     stride: usize,
-    /// Flattened `n × stride` neighbor indices.
+    /// Flattened rows of `stride` neighbor indices: city `i`'s row is
+    /// row `i` when eager, row `row_of[i]` when lazy.
     flat: Vec<u32>,
+    /// Row state of a lazy list; `None` once every row is in `flat`.
+    lazy: Option<LazyRows>,
+}
+
+/// The grid and bookkeeping behind a lazy [`NeighborLists`].
+#[derive(Debug, Clone)]
+struct LazyRows {
+    grid: SpatialGrid,
+    /// Per city: index of its row in `flat`, or `u32::MAX` until first
+    /// access.
+    row_of: Vec<u32>,
+    /// Query scratch reused across rows.
+    hits: Vec<(f64, u32)>,
+    knn: Vec<u32>,
+}
+
+/// The grid every candidate list queries. The cell is sized to the mean
+/// point spacing so the expected query cost is `O(k)` per city.
+fn grid_over(points: &[Point]) -> SpatialGrid {
+    let bb = mdg_geom::Aabb::from_points(points).expect("non-empty point set");
+    let area = (bb.width() * bb.height()).max(1e-12);
+    let cell = (area / points.len() as f64).sqrt().max(1e-9);
+    SpatialGrid::build(points, cell)
 }
 
 impl NeighborLists {
-    /// Builds `k`-nearest-neighbor lists for `points`. The grid cell is
-    /// sized to the mean point spacing so the expected query cost is
-    /// `O(k)` per city.
+    /// Builds `k`-nearest-neighbor lists for every city of `points`.
     pub fn build(points: &[Point], k: usize) -> Self {
         let n = points.len();
         let stride = k.min(n.saturating_sub(1));
@@ -47,14 +72,12 @@ impl NeighborLists {
             return NeighborLists {
                 stride,
                 flat: Vec::new(),
+                lazy: None,
             };
         }
         let mut sp = mdg_obs::span("knn_build");
         sp.add_items(n as u64);
-        let bb = mdg_geom::Aabb::from_points(points).expect("non-empty point set");
-        let area = (bb.width() * bb.height()).max(1e-12);
-        let cell = (area / n as f64).sqrt().max(1e-9);
-        let grid = SpatialGrid::build(points, cell);
+        let grid = grid_over(points);
         // Each city's list is an independent grid query, so the k-NN
         // builds parallelize trivially; every block writes its cities'
         // rows straight into the (exactly sized) output, so the result is
@@ -76,13 +99,71 @@ impl NeighborLists {
             mdg_par::scratch::put(hits);
             mdg_par::scratch::put(knn);
         });
-        NeighborLists { stride, flat }
+        NeighborLists {
+            stride,
+            flat,
+            lazy: None,
+        }
+    }
+
+    /// Like [`NeighborLists::build`], but only indexes `points` in a grid
+    /// (`O(n)`); each city's row is computed on its first
+    /// [`NeighborLists::row`] access. A seeded pass over a long tour then
+    /// pays for the rows it visits, not for all `n`.
+    pub fn lazy(points: &[Point], k: usize) -> Self {
+        let n = points.len();
+        let stride = k.min(n.saturating_sub(1));
+        let lazy = (stride > 0).then(|| LazyRows {
+            grid: grid_over(points),
+            row_of: vec![u32::MAX; n],
+            hits: Vec::new(),
+            knn: Vec::with_capacity(stride),
+        });
+        NeighborLists {
+            stride,
+            flat: Vec::new(),
+            lazy,
+        }
+    }
+
+    /// The candidate list of city `i`, sorted by ascending distance,
+    /// computing it first if the list is lazy. `points` must be the point
+    /// set the lists were made from.
+    #[inline]
+    pub fn row(&mut self, points: &[Point], i: usize) -> &[u32] {
+        if let Some(lazy) = &mut self.lazy {
+            if lazy.row_of[i] == u32::MAX {
+                lazy.row_of[i] = (self.flat.len() / self.stride) as u32;
+                lazy.grid.k_nearest_into(
+                    points[i],
+                    self.stride,
+                    Some(i as u32),
+                    &mut lazy.hits,
+                    &mut lazy.knn,
+                );
+                debug_assert_eq!(lazy.knn.len(), self.stride);
+                self.flat.extend_from_slice(&lazy.knn);
+            }
+        }
+        self.neighbors(i)
     }
 
     /// The candidate list of city `i`, sorted by ascending distance.
+    ///
+    /// # Panics
+    /// Panics if the list is lazy and row `i` has not been computed yet
+    /// (use [`NeighborLists::row`]).
     #[inline]
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.flat[i * self.stride..(i + 1) * self.stride]
+        let r = match &self.lazy {
+            None => i,
+            Some(lazy) => {
+                let r = lazy.row_of[i];
+                assert!(r != u32::MAX, "lazy neighbor row {i} not computed yet");
+                r as usize
+            }
+        };
+        &self.flat[r * self.stride..(r + 1) * self.stride]
     }
 
     /// Neighbors kept per city.
@@ -167,7 +248,7 @@ fn reverse_cyclic(order: &mut [usize], pos: &mut [u32], from: usize, to: usize) 
 /// cities are examined only once a move wakes them.
 fn two_opt_neighbors_pass(
     points: &[Point],
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
     order: &mut [usize],
     pos: &mut [u32],
     min_gain: f64,
@@ -199,7 +280,7 @@ fn two_opt_neighbors_pass(
                     order[(pa + n - 1) % n]
                 };
                 let d_ab = points[a].dist(points[b]);
-                for &cu in nl.neighbors(a) {
+                for &cu in nl.row(points, a) {
                     let c = cu as usize;
                     let d_ac = points[a].dist(points[c]);
                     if d_ac >= d_ab {
@@ -256,7 +337,7 @@ fn two_opt_neighbors_pass(
 /// only those (out-of-range and duplicate entries ignored).
 fn or_opt_neighbors_pass(
     points: &[Point],
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
     order: &mut Vec<usize>,
     pos: &mut [u32],
     max_segment: usize,
@@ -291,6 +372,8 @@ fn or_opt_neighbors_pass(
             }
             // Insertion anchors: cities whose successor edge we would
             // split, drawn from the endpoints' candidate lists.
+            nl.row(points, first);
+            nl.row(points, last);
             let anchors = nl.neighbors(first).iter().chain(nl.neighbors(last).iter());
             for &eu in anchors {
                 let e = eu as usize;
@@ -348,7 +431,12 @@ fn or_opt_neighbors_pass(
 /// Neighbor-list 2-opt local search over `points` (city `i` at
 /// `points[i]`): the `O(n·k)`-per-sweep analogue of
 /// [`two_opt`](crate::improve::two_opt). Never lengthens the tour.
-pub fn two_opt_neighbors(points: &[Point], tour: Tour, nl: &NeighborLists, min_gain: f64) -> Tour {
+pub fn two_opt_neighbors(
+    points: &[Point],
+    tour: Tour,
+    nl: &mut NeighborLists,
+    min_gain: f64,
+) -> Tour {
     let mut order = tour.into_order();
     let mut pos = take_pos(&order);
     two_opt_neighbors_pass(points, nl, &mut order, &mut pos, min_gain, None);
@@ -369,7 +457,7 @@ pub fn two_opt_neighbors(points: &[Point], tour: Tour, nl: &NeighborLists, min_g
 pub fn two_opt_neighbors_seeded(
     points: &[Point],
     tour: Tour,
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
     min_gain: f64,
     seeds: &[usize],
 ) -> Tour {
@@ -393,7 +481,7 @@ pub fn two_opt_neighbors_seeded(
 pub fn or_opt_neighbors_seeded(
     points: &[Point],
     tour: Tour,
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
     max_segment: usize,
     min_gain: f64,
     seeds: &[usize],
@@ -428,8 +516,8 @@ pub fn or_opt_neighbors_seeded(
 ///     Point::new(1.0, 0.0),
 ///     Point::new(0.0, 1.0),
 /// ];
-/// let nl = NeighborLists::build(&pts, 3);
-/// let t = improve_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &ImproveConfig::default(), &nl);
+/// let mut nl = NeighborLists::build(&pts, 3);
+/// let t = improve_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &ImproveConfig::default(), &mut nl);
 /// let cost = EuclideanCost::new(&pts);
 /// assert!((t.length(&cost) - 4.0).abs() < 1e-9, "uncrossed square is optimal");
 /// ```
@@ -437,7 +525,7 @@ pub fn improve_neighbors(
     points: &[Point],
     tour: Tour,
     cfg: &ImproveConfig,
-    nl: &NeighborLists,
+    nl: &mut NeighborLists,
 ) -> Tour {
     let mut order = tour.into_order();
     let n = order.len();
@@ -503,8 +591,8 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(0.0, 1.0),
         ];
-        let nl = NeighborLists::build(&pts, 3);
-        let fixed = two_opt_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &nl, 1e-9);
+        let mut nl = NeighborLists::build(&pts, 3);
+        let fixed = two_opt_neighbors(&pts, Tour::new(vec![0, 1, 2, 3]), &mut nl, 1e-9);
         let cost = EuclideanCost::new(&pts);
         assert!((fixed.length(&cost) - 4.0).abs() < 1e-9);
     }
@@ -514,10 +602,10 @@ mod tests {
         for seed in 0..10u64 {
             let pts = random_points(60, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 10);
+            let mut nl = NeighborLists::build(&pts, 10);
             let t0 = nearest_neighbor(&cost);
             let len0 = t0.length(&cost);
-            let t1 = improve_neighbors(&pts, t0, &ImproveConfig::default(), &nl);
+            let t1 = improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -532,10 +620,10 @@ mod tests {
         for seed in [3u64, 17, 42] {
             let pts = random_points(40, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 39);
+            let mut nl = NeighborLists::build(&pts, 39);
             let t0 = nearest_neighbor(&cost);
             let dense = improve(&cost, t0.clone(), &ImproveConfig::default());
-            let sparse = improve_neighbors(&pts, t0, &ImproveConfig::default(), &nl);
+            let sparse = improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl);
             assert!(
                 sparse.length(&cost) <= dense.length(&cost) * 1.05 + 1e-9,
                 "seed {seed}: sparse {} vs dense {}",
@@ -550,10 +638,11 @@ mod tests {
         for seed in 0..20u64 {
             let pts = random_points(80, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 12);
+            let mut nl = NeighborLists::build(&pts, 12);
             let t0 = nearest_neighbor(&cost);
             let dense = two_opt(&cost, t0.clone()).length(&cost);
-            let sparse = improve_neighbors(&pts, t0, &ImproveConfig::default(), &nl).length(&cost);
+            let sparse =
+                improve_neighbors(&pts, t0, &ImproveConfig::default(), &mut nl).length(&cost);
             assert!(
                 sparse <= dense + 1e-9,
                 "seed {seed}: NL improve {sparse} vs dense 2-opt {dense}"
@@ -604,13 +693,13 @@ mod tests {
     fn seeded_with_all_cities_matches_full_pass() {
         for seed in 0..10u64 {
             let pts = random_points(70, seed);
-            let nl = NeighborLists::build(&pts, 10);
+            let mut nl = NeighborLists::build(&pts, 10);
             let t0 = nearest_neighbor(&EuclideanCost::new(&pts));
             // Seed every city in tour order — exactly the full pass's
             // initial queue — so the runs are move-for-move identical.
             let all: Vec<usize> = t0.order().to_vec();
-            let full = two_opt_neighbors(&pts, t0.clone(), &nl, 1e-9);
-            let seeded = two_opt_neighbors_seeded(&pts, t0, &nl, 1e-9, &all);
+            let full = two_opt_neighbors(&pts, t0.clone(), &mut nl, 1e-9);
+            let seeded = two_opt_neighbors_seeded(&pts, t0, &mut nl, 1e-9, &all);
             assert_eq!(full.order(), seeded.order(), "seed {seed}");
         }
     }
@@ -618,9 +707,9 @@ mod tests {
     #[test]
     fn empty_seeds_leave_the_tour_unchanged() {
         let pts = random_points(30, 5);
-        let nl = NeighborLists::build(&pts, 8);
+        let mut nl = NeighborLists::build(&pts, 8);
         let t0 = Tour::identity(30);
-        let t1 = two_opt_neighbors_seeded(&pts, t0.clone(), &nl, 1e-9, &[]);
+        let t1 = two_opt_neighbors_seeded(&pts, t0.clone(), &mut nl, 1e-9, &[]);
         assert_eq!(t1.order(), t0.normalized().order());
     }
 
@@ -632,12 +721,17 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(0.0, 1.0),
         ];
-        let nl = NeighborLists::build(&pts, 3);
+        let mut nl = NeighborLists::build(&pts, 3);
         let cost = EuclideanCost::new(&pts);
         // Seeding any vertex of the crossing edge pair fixes the square;
         // indices past n are silently skipped rather than panicking.
-        let fixed =
-            two_opt_neighbors_seeded(&pts, Tour::new(vec![0, 1, 2, 3]), &nl, 1e-9, &[0, 99, 0]);
+        let fixed = two_opt_neighbors_seeded(
+            &pts,
+            Tour::new(vec![0, 1, 2, 3]),
+            &mut nl,
+            1e-9,
+            &[0, 99, 0],
+        );
         assert!((fixed.length(&cost) - 4.0).abs() < 1e-9);
     }
 
@@ -646,10 +740,10 @@ mod tests {
         for seed in 0..10u64 {
             let pts = random_points(50, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 8);
+            let mut nl = NeighborLists::build(&pts, 8);
             let t0 = Tour::identity(50);
             let len0 = t0.length(&cost);
-            let t1 = two_opt_neighbors_seeded(&pts, t0, &nl, 1e-9, &[0, 10, 20, 30, 40]);
+            let t1 = two_opt_neighbors_seeded(&pts, t0, &mut nl, 1e-9, &[0, 10, 20, 30, 40]);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -661,7 +755,7 @@ mod tests {
     fn or_opt_seeded_with_all_cities_matches_full_pass() {
         for seed in 0..10u64 {
             let pts = random_points(70, seed);
-            let nl = NeighborLists::build(&pts, 10);
+            let mut nl = NeighborLists::build(&pts, 10);
             let t0 = nearest_neighbor(&EuclideanCost::new(&pts));
             let all: Vec<usize> = t0.order().to_vec();
             let mut order_full = t0.clone().into_order();
@@ -669,9 +763,9 @@ mod tests {
             for (p, &c) in order_full.iter().enumerate() {
                 pos_full[c] = p as u32;
             }
-            or_opt_neighbors_pass(&pts, &nl, &mut order_full, &mut pos_full, 3, 1e-9, None);
+            or_opt_neighbors_pass(&pts, &mut nl, &mut order_full, &mut pos_full, 3, 1e-9, None);
             let full = Tour::from_order_unchecked(order_full).normalized();
-            let seeded = or_opt_neighbors_seeded(&pts, t0, &nl, 3, 1e-9, &all);
+            let seeded = or_opt_neighbors_seeded(&pts, t0, &mut nl, 3, 1e-9, &all);
             assert_eq!(full.order(), seeded.order(), "seed {seed}");
         }
     }
@@ -679,9 +773,9 @@ mod tests {
     #[test]
     fn or_opt_empty_seeds_leave_the_tour_unchanged() {
         let pts = random_points(30, 5);
-        let nl = NeighborLists::build(&pts, 8);
+        let mut nl = NeighborLists::build(&pts, 8);
         let t0 = Tour::identity(30);
-        let t1 = or_opt_neighbors_seeded(&pts, t0.clone(), &nl, 3, 1e-9, &[]);
+        let t1 = or_opt_neighbors_seeded(&pts, t0.clone(), &mut nl, 3, 1e-9, &[]);
         assert_eq!(t1.order(), t0.normalized().order());
     }
 
@@ -690,10 +784,10 @@ mod tests {
         for seed in 0..10u64 {
             let pts = random_points(50, seed);
             let cost = EuclideanCost::new(&pts);
-            let nl = NeighborLists::build(&pts, 8);
+            let mut nl = NeighborLists::build(&pts, 8);
             let t0 = nearest_neighbor(&cost);
             let len0 = t0.length(&cost);
-            let t1 = or_opt_neighbors_seeded(&pts, t0, &nl, 3, 1e-9, &[0, 7, 99, 23, 7]);
+            let t1 = or_opt_neighbors_seeded(&pts, t0, &mut nl, 3, 1e-9, &[0, 7, 99, 23, 7]);
             assert!(t1.length(&cost) <= len0 + 1e-9, "seed {seed}");
             let mut sorted = t1.order().to_vec();
             sorted.sort_unstable();
@@ -701,12 +795,77 @@ mod tests {
         }
     }
 
+    /// Every lazy row equals the eager row, computed in any access order,
+    /// on random, duplicate-heavy and collinear point sets.
+    #[test]
+    fn lazy_rows_equal_built_rows() {
+        let mut sets = vec![random_points(300, 9), random_points(2, 3)];
+        // Duplicates: 40 distinct sites, each repeated 5 times, so most
+        // distance ties are exact and broken by index.
+        let sites = random_points(40, 4);
+        sets.push((0..200).map(|i| sites[i % 40]).collect());
+        // Collinear, evenly spaced: every interior city has two
+        // equidistant neighbors at each distance.
+        sets.push((0..150).map(|i| Point::new(i as f64 * 2.5, 7.0)).collect());
+        // A diagonal line with a co-located pile at one end.
+        let mut diag: Vec<Point> = (0..100).map(|i| Point::new(i as f64, i as f64)).collect();
+        diag.extend([Point::new(0.0, 0.0); 12]);
+        sets.push(diag);
+        for (s, pts) in sets.iter().enumerate() {
+            for k in [1usize, 3, 8, 16] {
+                let eager = NeighborLists::build(pts, k);
+                let mut lazy = NeighborLists::lazy(pts, k);
+                assert_eq!(lazy.k(), eager.k(), "set {s} k {k}");
+                let n = pts.len();
+                // Stride through the cities out of order.
+                for step in 0..n {
+                    let i = (step * 7 + 3) % n;
+                    assert_eq!(
+                        lazy.row(pts, i),
+                        eager.neighbors(i),
+                        "set {s} k {k} city {i}"
+                    );
+                }
+                // Rows already computed are served as they were; the rest
+                // are filled now.
+                for i in 0..n {
+                    assert_eq!(lazy.row(pts, i), eager.neighbors(i), "set {s} k {k}");
+                    assert_eq!(lazy.neighbors(i), eager.neighbors(i), "set {s} k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_lists_drive_the_seeded_passes_identically() {
+        for seed in 0..6u64 {
+            let pts = random_points(400, seed);
+            let t0 = nearest_neighbor(&EuclideanCost::new(&pts));
+            let seeds = [0usize, 57, 120, 333];
+            let mut eager = NeighborLists::build(&pts, 8);
+            let mut lazy = NeighborLists::lazy(&pts, 8);
+            let a = two_opt_neighbors_seeded(&pts, t0.clone(), &mut eager, 1e-9, &seeds);
+            let b = two_opt_neighbors_seeded(&pts, t0, &mut lazy, 1e-9, &seeds);
+            assert_eq!(a.order(), b.order(), "seed {seed}");
+            let a = or_opt_neighbors_seeded(&pts, a, &mut eager, 3, 1e-9, &seeds);
+            let b = or_opt_neighbors_seeded(&pts, b, &mut lazy, 3, 1e-9, &seeds);
+            assert_eq!(a.order(), b.order(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not computed yet")]
+    fn unread_lazy_rows_are_not_served_stale() {
+        let pts = random_points(20, 1);
+        NeighborLists::lazy(&pts, 4).neighbors(5);
+    }
+
     #[test]
     fn tiny_instances_are_untouched() {
         for n in 1..4usize {
             let pts = random_points(n, 0);
-            let nl = NeighborLists::build(&pts, 10);
-            let t = improve_neighbors(&pts, Tour::identity(n), &ImproveConfig::default(), &nl);
+            let mut nl = NeighborLists::build(&pts, 10);
+            let t = improve_neighbors(&pts, Tour::identity(n), &ImproveConfig::default(), &mut nl);
             assert_eq!(t.len(), n);
         }
     }

@@ -254,7 +254,6 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
     apply_alloc_counting(flags);
     let alloc_base = mobile_collectors::obs::alloc::totals();
     let deployment = DeploymentConfig::uniform(n, side).generate(seed);
-    let network = Network::build(deployment.clone(), range);
 
     let mut cfg = PlannerConfig::default();
     if flags.contains_key("greedy") {
@@ -283,8 +282,16 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
     if flags.contains_key("tile-cells") && !hier {
         return Err("--tile-cells only makes sense with --hier".into());
     }
+    // The tiled planner reads only the sensor positions and the sink, so
+    // the hier path builds no `Network` (unit-disk graphs, grids).
+    let network = (!hier).then(|| Network::build(deployment.clone(), range));
     let t_plan = std::time::Instant::now();
-    let (plan, hier_stats) = if hier {
+    let (plan, hier_stats) = if let Some(network) = &network {
+        let plan = ShdgPlanner::with_config(cfg)
+            .plan(network)
+            .map_err(|e| e.to_string())?;
+        (plan, None)
+    } else {
         let mut hcfg = mobile_collectors::core::HierConfig {
             base: cfg,
             ..mobile_collectors::core::HierConfig::default()
@@ -292,24 +299,24 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
         if flags.contains_key("tile-cells") {
             hcfg.tile_cells = Some(req_positive(flags, "tile-cells")?);
         }
-        let (plan, stats) = mobile_collectors::core::HierPlanner::with_config(hcfg)
-            .plan_with_stats(&network)
-            .map_err(|e| e.to_string())?;
+        let (plan, stats) = mobile_collectors::core::HierPlan::build(
+            &deployment.sensors,
+            deployment.sink,
+            range,
+            hcfg,
+        )
+        .map_err(|e| e.to_string())?
+        .into_plan_and_stats();
         (plan, Some(stats))
-    } else {
-        let plan = ShdgPlanner::with_config(cfg)
-            .plan(&network)
-            .map_err(|e| e.to_string())?;
-        (plan, None)
     };
     let plan_ms = t_plan.elapsed().as_secs_f64() * 1e3;
     if profiling {
         emit_profile(flags)?;
     }
-    plan.validate(&network.deployment.sensors, range)
+    plan.validate(&deployment.sensors, range)
         .map_err(|e| format!("internal: {e}"))?;
 
-    let m = PlanMetrics::of(&plan, &network.deployment.sensors);
+    let m = PlanMetrics::of(&plan, &deployment.sensors);
     println!(
         "planned {} sensors on a {side:.0} m field (R = {range:.0} m, seed {seed})",
         n
