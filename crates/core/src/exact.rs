@@ -12,7 +12,7 @@
 //! with Held–Karp.
 
 use crate::error::PlanError;
-use crate::plan::{GatheringPlan, PollingPoint};
+use crate::plan::GatheringPlan;
 use mdg_cover::{BitSet, CoverageInstance};
 use mdg_geom::{hull_perimeter, Point};
 use mdg_net::Network;
@@ -170,20 +170,8 @@ pub fn exact_plan(net: &Network) -> Result<GatheringPlan, PlanError> {
     debug_assert_eq!(order[0], 0);
     let tour_cands: Vec<usize> = order[1..].iter().map(|&i| sel[i - 1]).collect();
     let assignment = inst.assign(&tour_cands).expect("selection is a cover");
-    let mut covered_lists: Vec<Vec<u32>> = vec![Vec::new(); tour_cands.len()];
-    for (s, &k) in assignment.iter().enumerate() {
-        covered_lists[k].push(s as u32);
-    }
-    let polling_points = tour_cands
-        .iter()
-        .zip(covered_lists)
-        .map(|(&c, cov)| PollingPoint {
-            pos: inst.candidates[c].pos,
-            candidate: c,
-            covered: cov,
-        })
-        .collect();
-    let plan = GatheringPlan::new(sink, polling_points, assignment);
+    let stops = tour_cands.iter().map(|&c| (c, inst.candidates[c].pos));
+    let plan = GatheringPlan::from_stops(sink, stops, assignment);
     debug_assert!((plan.tour_length - best_len).abs() < 1e-6);
     Ok(plan)
 }

@@ -10,10 +10,14 @@
 //! 1. **Tiling** — [`mdg_geom::Tiling`] buckets the sensors into square
 //!    tiles sized so each holds roughly [`HierConfig::target_per_tile`]
 //!    sensors (or explicitly via [`HierConfig::tile_cells`]).
-//! 2. **Per-tile planning** — every non-empty tile runs the flat
-//!    pipeline (cover → prune → tour) on a *tile-local* sensor-site
-//!    instance, in parallel across tiles on `mdg-par`. Costs are
-//!    quadratic in the tile, not the field.
+//! 2. **Per-tile planning** — every non-empty tile runs the region
+//!    pipeline the flat planner runs (cover → prune → tour → assign) on a
+//!    *tile-local* sensor-site instance, as a depot-less cycle with cover
+//!    ties broken toward the tile center, in parallel across tiles on
+//!    `mdg-par`. Costs are quadratic in the tile, not the field. A field
+//!    with a single occupied tile is planned exactly as the flat planner
+//!    plans it — one region toured from the sink, whose tour is the
+//!    plan — so a one-tile plan is the flat plan bit for bit.
 //! 3. **Stitching** — sub-tours are concatenated in serpentine tile
 //!    order: each is opened at its longest edge and oriented to shorten
 //!    the seam; tiles with fewer than three stops are spliced into the
@@ -29,7 +33,7 @@
 //! sensors, and each tile's pre-stitch sub-tour — is retained in
 //! [`HierPlan`], which makes deltas local: a sensor death or addition
 //! dirties only the tile that owns its position ([`mdg_geom::Tiling::tile_of`]),
-//! [`HierPlan::apply_delta`] re-runs cover → prune → tour on the dirty
+//! [`HierPlan::apply_delta`] re-runs the region pipeline on the dirty
 //! tiles only, re-stitches from the retained sub-tours (an `O(stops)`
 //! concatenation), and re-polishes only the seams adjacent to dirty
 //! tiles. When a delta dirties at least half the occupied tiles — or
@@ -58,20 +62,14 @@
 use crate::error::PlanError;
 use crate::mutate::UNASSIGNED;
 use crate::plan::{GatheringPlan, PollingPoint};
-use crate::planner::{CandidateMode, CoveringStrategy, PlannerConfig};
-use crate::tour_aware::{tour_aware_cover, TourAwareConfig};
-use mdg_cover::{capacitated_greedy_cover, greedy_cover, prune_cover, CoverageInstance};
+use crate::planner::{plan_region, CandidateMode, PlannerConfig};
+use mdg_cover::CoverageInstance;
 use mdg_geom::{Point, Tiling};
 use mdg_net::Network;
 use mdg_tour::{
-    cheapest_insertion_position, improve, improve_neighbors, or_opt_neighbors_seeded,
-    two_opt_neighbors_seeded, ImproveConfig, MatrixCost, NeighborLists, Tour,
+    cheapest_insertion_position, or_opt_neighbors_seeded, two_opt_neighbors_seeded, NeighborLists,
+    Tour,
 };
-
-/// Stop count (including the sink) above which a tile's tour switches
-/// from the dense matrix pipeline to neighbor-list local search — same
-/// threshold as the flat planner.
-const DENSE_TOUR_LIMIT: usize = 512;
 
 /// Neighbors per city in the seam touch-up's candidate lists. Seam
 /// repairs are local, so a short list suffices.
@@ -308,7 +306,7 @@ impl HierPlan {
                 .collect();
             (tiling, members)
         };
-        let tiles = plan_all_tiles(sensors, &tiling, &members, range, &cfg.base);
+        let tiles = plan_all_tiles(sensors, sink, &tiling, &members, range, &cfg.base);
         let mut hp = HierPlan {
             cfg,
             sink,
@@ -513,7 +511,7 @@ impl HierPlan {
     /// ids past the previous length are taken as newly added (and must be
     /// alive); `died` lists the ids newly marked dead (already-dead ids
     /// are tolerated and ignored). Deaths and additions dirty the owning
-    /// tile of their position; dirty tiles re-run cover → prune → tour in
+    /// tile of their position; dirty tiles re-run the region pipeline in
     /// serpentine order on `mdg-par`, the cycle is re-stitched from the
     /// retained sub-tours, and the seam touch-up is seeded only at seams
     /// adjacent to dirty tiles. If at least half the occupied tiles are
@@ -638,6 +636,7 @@ impl HierPlan {
                         sensors,
                         &members[t],
                         range,
+                        None,
                         tiling.tile_center(t),
                         &base,
                     ))
@@ -692,7 +691,14 @@ impl HierPlan {
                     .collect()
             })
             .collect();
-        self.tiles = plan_all_tiles(sensors, &tiling, &self.members, self.range, &self.cfg.base);
+        self.tiles = plan_all_tiles(
+            sensors,
+            self.sink,
+            &tiling,
+            &self.members,
+            self.range,
+            &self.cfg.base,
+        );
         self.tiling = tiling;
         self.materialize(sensors, None);
         Ok(())
@@ -717,6 +723,10 @@ impl HierPlan {
             .filter_map(|t| self.tiles[t].as_ref())
             .collect();
         let n_occupied = ordered.len();
+        // One occupied tile was toured from the sink (see `plan_all_tiles`)
+        // and only a full rebuild can produce one: a patched delta leaves
+        // at least two.
+        debug_assert!(dirty.is_none() || n_occupied > 1);
         // The stitch buffers are O(stops) and rebuilt every materialize;
         // scratch-pooling them keeps warm deltas off the allocator for
         // the three biggest temporaries of the re-stitch.
@@ -729,7 +739,11 @@ impl HierPlan {
         };
         mdg_obs::counter("hier/spliced_stops").add(spliced as u64);
 
-        if self.cfg.touch_up && self.cfg.base.improve_passes > 0 && cycle_pts.len() >= 5 {
+        if self.cfg.touch_up
+            && self.cfg.base.improve_passes > 0
+            && n_occupied > 1
+            && cycle_pts.len() >= 5
+        {
             let mut sp = mdg_obs::span("touch_up");
             sp.add_items(cycle_pts.len() as u64);
             let m = cands.len();
@@ -860,23 +874,9 @@ impl HierPlan {
             })
             .collect();
         mdg_par::scratch::put(chosen);
-        let mut covered: Vec<Vec<u32>> = vec![Vec::new(); cands.len()];
-        for (s, &k) in assignment.iter().enumerate() {
-            if k != UNASSIGNED {
-                covered[k].push(s as u32);
-            }
-        }
-        let polling_points: Vec<PollingPoint> = cands
-            .iter()
-            .zip(covered)
-            .map(|(&c, cov)| PollingPoint {
-                pos: sensors[c as usize],
-                candidate: c as usize,
-                covered: cov,
-            })
-            .collect();
         self.footprint.full = true;
-        GatheringPlan::new(self.sink, polling_points, assignment)
+        let stops = cands.iter().map(|&c| (c as usize, sensors[c as usize]));
+        GatheringPlan::from_stops(self.sink, stops, assignment)
     }
 
     /// The plan for the stitched stops `cands` (at `cycle_pts[1..]`,
@@ -990,8 +990,13 @@ fn tile_side_for(cfg: &HierConfig, live: &[Point], range: f64) -> Result<f64, Pl
 /// tiles in serpentine order. Each tile is a pure function of its own
 /// members; `par_map` preserves order and nested parallel calls inside a
 /// tile run inline, so the result is bit-identical at any thread count.
+///
+/// A lone occupied tile is the whole field: it is planned as one region
+/// toured from the sink, exactly like the flat planner, and its tour is
+/// the plan's cycle.
 fn plan_all_tiles(
     sensors: &[Point],
+    sink: Point,
     tiling: &Tiling,
     members: &[Vec<u32>],
     range: f64,
@@ -1007,7 +1012,12 @@ fn plan_all_tiles(
         sp.add_items(occupied.len() as u64);
         mdg_par::par_map(occupied.len(), |k| {
             let t = occupied[k];
-            plan_tile(sensors, &members[t], range, tiling.tile_center(t), base)
+            if occupied.len() == 1 {
+                plan_tile(sensors, &members[t], range, Some(sink), sink, base)
+            } else {
+                let center = tiling.tile_center(t);
+                plan_tile(sensors, &members[t], range, None, center, base)
+            }
         })
     };
     let mut tiles: Vec<Option<TilePlan>> = vec![None; tiling.n_tiles()];
@@ -1017,135 +1027,37 @@ fn plan_all_tiles(
     tiles
 }
 
-/// Plans one tile: local cover → prune → cycle → assignment, mirroring
-/// the flat pipeline on a subset instance anchored at the tile center.
+/// Plans one tile: the region pipeline on the tile's subset instance,
+/// toured from `depot` if given (a lone tile) or as a depot-less cycle,
+/// with cover ties broken toward `anchor`; stops and choices are mapped
+/// to global sensor ids.
 fn plan_tile(
     sensors: &[Point],
     subset: &[u32],
     range: f64,
+    depot: Option<Point>,
     anchor: Point,
     base: &PlannerConfig,
 ) -> TilePlan {
     let mut sp = mdg_obs::span("tile");
     sp.add_items(subset.len() as u64);
+    // Sensor-site instances are always feasible (each sensor covers
+    // itself).
     let inst = CoverageInstance::sensor_sites_subset(sensors, subset, range);
-
-    // Cover. Sensor-site instances are always feasible (each sensor
-    // covers itself), so the selection never fails. Ties break toward
-    // the tile center — the local stand-in for the flat planner's sink.
-    let (mut selected, cap_assign): (Vec<usize>, Option<Vec<usize>>) =
-        if let Some(cap) = base.max_sensors_per_pp {
-            let cover =
-                capacitated_greedy_cover(&inst, cap, |c| inst.candidates[c].pos.dist_sq(anchor))
-                    .expect("sensor-site candidates are always feasible");
-            (cover.selected, Some(cover.assignment))
-        } else {
-            let sel = match base.covering {
-                CoveringStrategy::Greedy => {
-                    greedy_cover(&inst, |c| inst.candidates[c].pos.dist_sq(anchor))
-                        .expect("sensor-site candidates are always feasible")
-                }
-                CoveringStrategy::TourAware { insertion_weight } => {
-                    let cfg = TourAwareConfig {
-                        insertion_weight,
-                        ..TourAwareConfig::default()
-                    };
-                    tour_aware_cover(&inst, anchor, &cfg)
-                        .expect("sensor-site candidates are always feasible")
-                        .selected
-                }
-            };
-            (sel, None)
-        };
-
-    // Prune (uncapacitated only, like the flat planner), prioritized by
-    // each stop's removal gain in a preliminary tile cycle.
-    if cap_assign.is_none() && base.prune && selected.len() > 1 {
-        let prelim = cycle_over(&inst, &selected, 0);
-        let mut pts: Vec<Point> = mdg_par::scratch::take_cap(prelim.len());
-        pts.extend(prelim.iter().map(|&c| inst.candidates[c].pos));
-        let m = pts.len();
-        let order_of: std::collections::HashMap<usize, usize> =
-            prelim.iter().enumerate().map(|(k, &c)| (c, k)).collect();
-        let mut gains: Vec<f64> = mdg_par::scratch::take_cap(m);
-        gains.extend((0..m).map(|i| {
-            let prev = pts[(i + m - 1) % m];
-            let next = pts[(i + 1) % m];
-            prev.dist(pts[i]) + pts[i].dist(next) - prev.dist(next)
-        }));
-        selected = prune_cover(&inst, &selected, |c| {
-            order_of.get(&c).map_or(0.0, |&k| gains[k])
-        });
-        mdg_par::scratch::put(pts);
-        mdg_par::scratch::put(gains);
-    }
-
-    // Final cycle over the tile's stops.
-    let cycle_sel = cycle_over(&inst, &selected, base.improve_passes);
-
-    // Tile-local assignment, remapped to cycle order.
-    let assign: Vec<usize> = match cap_assign {
-        Some(a) => {
-            // `a[t]` indexes the pre-tour selection; the tour reordered it.
-            let pos_of: std::collections::HashMap<usize, usize> =
-                cycle_sel.iter().enumerate().map(|(k, &c)| (c, k)).collect();
-            a.iter().map(|&k| pos_of[&selected[k]]).collect()
-        }
-        None => inst.assign(&cycle_sel).expect("selection is a cover"),
-    };
+    let region = plan_region(&inst, depot, anchor, base);
     TilePlan {
-        stops: cycle_sel.iter().map(|&c| inst.candidates[c].pos).collect(),
-        cands: cycle_sel.iter().map(|&c| subset[c]).collect(),
-        chosen: assign.iter().map(|&k| subset[cycle_sel[k]]).collect(),
+        stops: region
+            .stops
+            .iter()
+            .map(|&c| inst.candidates[c].pos)
+            .collect(),
+        cands: region.stops.iter().map(|&c| subset[c]).collect(),
+        chosen: region
+            .assignment
+            .iter()
+            .map(|&k| subset[region.stops[k]])
+            .collect(),
     }
-}
-
-/// Cycle over the selected tile candidates (no depot), in the same
-/// dense/sparse regimes as the flat planner. Returns candidate ids in
-/// cycle order, rotated so `selected[0]` leads (deterministic).
-fn cycle_over(inst: &CoverageInstance, selected: &[usize], improve_passes: usize) -> Vec<usize> {
-    let m = selected.len();
-    if m <= 2 {
-        return selected.to_vec();
-    }
-    let mut pts: Vec<Point> = mdg_par::scratch::take_cap(m);
-    pts.extend(selected.iter().map(|&c| inst.candidates[c].pos));
-    let tour = if m <= DENSE_TOUR_LIMIT {
-        let cost = MatrixCost::from_points(&pts);
-        let tour = mdg_tour::cheapest_insertion(&cost);
-        if improve_passes > 0 {
-            improve(
-                &cost,
-                tour,
-                &ImproveConfig {
-                    max_passes: improve_passes,
-                    ..ImproveConfig::default()
-                },
-            )
-        } else {
-            tour.normalized()
-        }
-    } else {
-        let cost = mdg_tour::EuclideanCost::new(&pts);
-        let tour = mdg_tour::cheapest_insertion(&cost);
-        if improve_passes > 0 {
-            let mut nl = NeighborLists::build(&pts, 10);
-            improve_neighbors(
-                &pts,
-                tour,
-                &ImproveConfig {
-                    max_passes: improve_passes,
-                    ..ImproveConfig::default()
-                },
-                &mut nl,
-            )
-        } else {
-            tour.normalized()
-        }
-    };
-    let out = tour.order().iter().map(|&i| selected[i]).collect();
-    mdg_par::scratch::put(pts);
-    out
 }
 
 /// Concatenates tile sub-tours into one depot-anchored cycle.
@@ -1156,7 +1068,9 @@ fn cycle_over(inst: &CoverageInstance, selected: &[usize], improve_passes: usize
 /// orientation whose entry point is nearer the current cycle tail
 /// (ties: forward). Sub-tours with 1–2 stops are deferred and spliced
 /// individually at their cheapest insertion position — an "empty-ish
-/// tile" never panics, it just rides the splice path.
+/// tile" never panics, it just rides the splice path. A lone tile was
+/// toured from the sink (see [`plan_all_tiles`]), so its tour is taken
+/// as the cycle unchanged.
 ///
 /// Writes the cycle into caller-owned buffers (cleared first): `cycle_pts`
 /// gets the positions with the sink first, `cands` the global sensor id
@@ -1177,6 +1091,12 @@ fn stitch(
     cands.reserve(total);
     seam.clear();
     seam.reserve(total);
+    if let [tp] = tile_plans {
+        cycle_pts.extend_from_slice(&tp.stops);
+        cands.extend_from_slice(&tp.cands);
+        seam.resize(tp.stops.len(), false);
+        return 0;
+    }
     let mut deferred: Vec<(Point, u32)> = mdg_par::scratch::take();
 
     let mut path: Vec<usize> = mdg_par::scratch::take();
@@ -1239,7 +1159,7 @@ fn stitch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::ShdgPlanner;
+    use crate::planner::{CoveringStrategy, ShdgPlanner};
     use mdg_net::DeploymentConfig;
 
     fn net(n: usize, side: f64, seed: u64) -> Network {
@@ -1281,16 +1201,15 @@ mod tests {
     }
 
     #[test]
-    fn single_tile_degenerates_to_near_flat_quality() {
-        // Auto sizing on a small field yields one tile; the only
-        // structural difference from flat is the tile anchor and the
-        // stitched sink, so quality must stay close.
+    fn single_tile_is_the_flat_plan() {
+        // Auto sizing on a small field yields one tile, planned as one
+        // region toured from the sink: the flat plan, bit for bit.
         let net = net(200, 250.0, 11);
         let flat = ShdgPlanner::new().plan(&net).unwrap();
         let (hier, stats) = HierPlanner::new().plan_with_stats(&net).unwrap();
         assert_eq!(stats.n_occupied, 1);
-        hier.validate(&net.deployment.sensors, net.range).unwrap();
-        assert!(hier.tour_length <= flat.tour_length * 1.25 + 1e-9);
+        assert_eq!(stats.spliced_stops, 0);
+        assert_eq!(hier, flat);
     }
 
     #[test]

@@ -19,11 +19,14 @@
 //!
 //! * [`ShdgPlanner`] — the heuristic planner: greedy or **tour-aware**
 //!   covering, redundancy pruning against the actual tour, and 2-opt/Or-opt
-//!   tour polishing. Produces a [`GatheringPlan`].
+//!   tour polishing. Produces a [`GatheringPlan`]. These stages are one
+//!   region pipeline (cover → prune → tour → assign) that the flat planner
+//!   runs once over the whole field, from the sink.
 //! * [`hier::HierPlanner`] — the hierarchical tiled planner for very
-//!   large fields: tile the field, run the flat pipeline per tile in
-//!   parallel, stitch the sub-tours, and polish the seams. Plans
-//!   million-sensor fields that the flat planner cannot reach.
+//!   large fields: tile the field, run the same region pipeline per tile
+//!   in parallel, stitch the sub-tours, and polish the seams. Plans
+//!   million-sensor fields that the flat planner cannot reach; a field
+//!   that fits one tile gets the flat plan exactly.
 //! * [`exact`] — an exact SHDGP solver for small instances (enumerates
 //!   inclusion-minimal covers with a convex-hull tour lower bound, solving
 //!   each tour with Held–Karp), substituting the paper's CPLEX baseline.
@@ -55,6 +58,4 @@ pub use metrics::PlanMetrics;
 pub use mutate::UNASSIGNED;
 pub use plan::{GatheringPlan, PollingPoint};
 pub use planner::{plan_default, CandidateMode, CoveringStrategy, PlannerConfig, ShdgPlanner};
-pub use tour_aware::{
-    tour_aware_cover, tour_aware_cover_reference, TourAwareConfig, TourAwareCover,
-};
+pub use tour_aware::{tour_aware_cover, TourAwareConfig, TourAwareCover};

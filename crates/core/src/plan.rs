@@ -1,5 +1,6 @@
 //! The data-gathering plan produced by SHDG planning.
 
+use crate::mutate::UNASSIGNED;
 use mdg_geom::{closed_tour_length, Point};
 use serde::{Deserialize, Serialize};
 
@@ -46,6 +47,30 @@ impl GatheringPlan {
         };
         plan.tour_length = closed_tour_length(&plan.tour_positions());
         plan
+    }
+
+    /// Builds a plan from its stops in tour order, as `(candidate,
+    /// position)` pairs, and each sensor's stop index
+    /// (`assignment[s]` indexes the stops; [`UNASSIGNED`] sensors are served
+    /// by none). Every stop's `covered` list is its sensors, ascending.
+    pub(crate) fn from_stops(
+        sink: Point,
+        stops: impl ExactSizeIterator<Item = (usize, Point)>,
+        assignment: Vec<usize>,
+    ) -> Self {
+        let mut polling_points: Vec<PollingPoint> = stops
+            .map(|(candidate, pos)| PollingPoint {
+                pos,
+                candidate,
+                covered: Vec::new(),
+            })
+            .collect();
+        for (s, &k) in assignment.iter().enumerate() {
+            if k != UNASSIGNED {
+                polling_points[k].covered.push(s as u32);
+            }
+        }
+        GatheringPlan::new(sink, polling_points, assignment)
     }
 
     /// Number of polling points.

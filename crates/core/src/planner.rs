@@ -1,12 +1,15 @@
 //! The SHDG heuristic planner.
 
 use crate::error::PlanError;
-use crate::plan::{GatheringPlan, PollingPoint};
+use crate::plan::GatheringPlan;
 use crate::tour_aware::{tour_aware_cover, TourAwareConfig};
-use mdg_cover::{greedy_cover, prune_cover, CoverageInstance};
+use mdg_cover::{capacitated_greedy_cover, greedy_cover, prune_cover, CoverageInstance};
 use mdg_geom::Point;
 use mdg_net::Network;
-use mdg_tour::{improve, ImproveConfig, MatrixCost};
+use mdg_tour::{
+    cheapest_insertion, improve, improve_neighbors, EuclideanCost, ImproveConfig, MatrixCost,
+    NeighborLists, Tour,
+};
 use serde::{Deserialize, Serialize};
 
 /// Where candidate polling points come from.
@@ -136,196 +139,173 @@ impl ShdgPlanner {
         if !uncoverable.is_empty() {
             return Err(PlanError::Uncoverable(uncoverable));
         }
-
-        // Buffer-bounded mode: capacitated covering carries its own
-        // assignment, so it short-circuits the uncapacitated pipeline.
-        if let Some(cap) = self.config.max_sensors_per_pp {
-            return Ok(self.plan_capacitated(&inst, sink, cap));
-        }
-
-        // 1. Cover.
-        let mut selected = {
-            let mut sp = mdg_obs::span("cover");
-            sp.add_items(inst.candidates.len() as u64);
-            match self.config.covering {
-                CoveringStrategy::Greedy => {
-                    greedy_cover(&inst, |c| inst.candidates[c].pos.dist_sq(sink))
-                        .expect("feasibility checked above")
-                }
-                CoveringStrategy::TourAware { insertion_weight } => {
-                    let cfg = TourAwareConfig {
-                        insertion_weight,
-                        ..TourAwareConfig::default()
-                    };
-                    tour_aware_cover(&inst, sink, &cfg)
-                        .expect("feasibility checked above")
-                        .selected
-                }
-            }
-        };
-
-        // 2. Prune redundant polling points, most-detour-costly first. The
-        //    detour priority is each point's out-and-back from a
-        //    preliminary tour; using the removal gain of the final tour
-        //    would be circular.
-        if self.config.prune && selected.len() > 1 {
-            let _sp = mdg_obs::span("prune");
-            let prelim = self.tour_over(&inst, sink, &selected, 0);
-            let detour: Vec<f64> = removal_gains(&prelim);
-            // Map candidate -> its detour in the preliminary tour order.
-            let order_of: std::collections::HashMap<usize, usize> =
-                prelim.1.iter().enumerate().map(|(k, &c)| (c, k)).collect();
-            selected = prune_cover(&inst, &selected, |c| {
-                order_of.get(&c).map_or(0.0, |&k| detour[k])
-            });
-        }
-
-        // 3. Final tour.
-        let (tour_pts, tour_cands) = {
-            let mut sp = mdg_obs::span("tour");
-            sp.add_items(selected.len() as u64);
-            self.tour_over(&inst, sink, &selected, self.config.improve_passes)
-        };
-
-        // 4. Assign sensors to their nearest polling point in tour order.
-        let assignment_sel = {
-            let _sp = mdg_obs::span("assign");
-            inst.assign(&tour_cands).expect("selection is a cover")
-        };
-        let mut covered: Vec<Vec<u32>> = vec![Vec::new(); tour_cands.len()];
-        for (s, &k) in assignment_sel.iter().enumerate() {
-            covered[k].push(s as u32);
-        }
-        let polling_points: Vec<PollingPoint> = tour_cands
-            .iter()
-            .zip(covered)
-            .map(|(&c, cov)| PollingPoint {
-                pos: inst.candidates[c].pos,
-                candidate: c,
-                covered: cov,
-            })
-            .collect();
-
-        let plan = GatheringPlan::new(sink, polling_points, assignment_sel);
-        debug_assert!((plan.tour_length - mdg_geom::closed_tour_length(&tour_pts)).abs() < 1e-6);
-        Ok(plan)
-    }
-
-    /// Capacity-bounded planning: capacitated greedy covering (ties toward
-    /// the sink), polished tour, and the covering's own capacity-feasible
-    /// assignment remapped into tour order.
-    fn plan_capacitated(&self, inst: &CoverageInstance, sink: Point, cap: usize) -> GatheringPlan {
-        let cover = mdg_cover::capacitated_greedy_cover(inst, cap, |c| {
-            inst.candidates[c].pos.dist_sq(sink)
-        })
-        .expect("feasibility checked by caller");
-        let (tour_pts, tour_cands) =
-            self.tour_over(inst, sink, &cover.selected, self.config.improve_passes);
-        // Remap: cover.assignment points into `selected`; the plan wants
-        // indices into the tour-ordered polling points.
-        let sel_to_tour: std::collections::HashMap<usize, usize> = tour_cands
-            .iter()
-            .enumerate()
-            .map(|(tour_idx, &cand)| (cand, tour_idx))
-            .collect();
-        let assignment: Vec<usize> = cover
-            .assignment
-            .iter()
-            .map(|&k| sel_to_tour[&cover.selected[k]])
-            .collect();
-        let mut covered: Vec<Vec<u32>> = vec![Vec::new(); tour_cands.len()];
-        for (s, &k) in assignment.iter().enumerate() {
-            covered[k].push(s as u32);
-        }
-        let polling_points: Vec<PollingPoint> = tour_cands
-            .iter()
-            .zip(covered)
-            .map(|(&c, cov)| PollingPoint {
-                pos: inst.candidates[c].pos,
-                candidate: c,
-                covered: cov,
-            })
-            .collect();
-        let plan = GatheringPlan::new(sink, polling_points, assignment);
-        debug_assert!((plan.tour_length - mdg_geom::closed_tour_length(&tour_pts)).abs() < 1e-6);
-        plan
-    }
-
-    /// Plans a polished closed tour over `sink` + the selected candidates.
-    /// Returns tour positions (sink first) and the candidate ids in tour
-    /// order.
-    ///
-    /// Up to [`DENSE_TOUR_LIMIT`] stops this runs cheapest insertion plus
-    /// the dense 2-opt/Or-opt polish over a precomputed cost matrix;
-    /// beyond it the matrix (`O(stops²)` memory) and the quadratic dense
-    /// sweeps give way to on-the-fly Euclidean costs and neighbor-list
-    /// local search, which is how 100k-sensor fields stay plannable.
-    fn tour_over(
-        &self,
-        inst: &CoverageInstance,
-        sink: Point,
-        selected: &[usize],
-        improve_passes: usize,
-    ) -> (Vec<Point>, Vec<usize>) {
-        /// Stop count (including the sink) above which the planner
-        /// switches to the sparse tour pipeline.
-        const DENSE_TOUR_LIMIT: usize = 512;
-        let mut pts = Vec::with_capacity(selected.len() + 1);
-        pts.push(sink);
-        pts.extend(selected.iter().map(|&c| inst.candidates[c].pos));
-        let tour = if pts.len() <= DENSE_TOUR_LIMIT {
-            let cost = MatrixCost::from_points(&pts);
-            let tour = mdg_tour::cheapest_insertion(&cost);
-            if improve_passes > 0 {
-                improve(
-                    &cost,
-                    tour,
-                    &ImproveConfig {
-                        max_passes: improve_passes,
-                        ..ImproveConfig::default()
-                    },
-                )
-            } else {
-                tour.normalized()
-            }
-        } else {
-            let cost = mdg_tour::EuclideanCost::new(&pts);
-            let tour = mdg_tour::cheapest_insertion(&cost);
-            if improve_passes > 0 {
-                let mut nl = mdg_tour::NeighborLists::build(&pts, 10);
-                mdg_tour::improve_neighbors(
-                    &pts,
-                    tour,
-                    &ImproveConfig {
-                        max_passes: improve_passes,
-                        ..ImproveConfig::default()
-                    },
-                    &mut nl,
-                )
-            } else {
-                tour.normalized()
-            }
-        };
-        let order = tour.order();
-        debug_assert_eq!(order[0], 0, "normalized tours lead with the depot");
-        let tour_pts: Vec<Point> = order.iter().map(|&i| pts[i]).collect();
-        let tour_cands: Vec<usize> = order[1..].iter().map(|&i| selected[i - 1]).collect();
-        (tour_pts, tour_cands)
+        let region = plan_region(&inst, Some(sink), sink, &self.config);
+        let stops = region.stops.iter().map(|&c| (c, inst.candidates[c].pos));
+        Ok(GatheringPlan::from_stops(sink, stops, region.assignment))
     }
 }
 
-/// For a closed tour given as (positions with sink first, candidate ids for
-/// positions 1..), the length saved by removing each non-sink vertex.
-fn removal_gains(tour: &(Vec<Point>, Vec<usize>)) -> Vec<f64> {
-    let pts = &tour.0;
-    let n = pts.len();
-    let mut gains = Vec::with_capacity(n.saturating_sub(1));
-    for i in 1..n {
-        let prev = pts[i - 1];
-        let next = pts[(i + 1) % n];
-        gains.push(prev.dist(pts[i]) + pts[i].dist(next) - prev.dist(next));
+/// Stop count, counted over the tour's points with the depot included,
+/// above which a region's tour switches from cheapest insertion plus the
+/// dense 2-opt/Or-opt polish over a precomputed cost matrix to on-the-fly
+/// Euclidean costs and neighbor-list local search. The matrix is
+/// `O(stops²)` memory and the dense sweeps are quadratic; the sparse
+/// regime is how 100k-sensor fields stay plannable.
+const DENSE_TOUR_LIMIT: usize = 512;
+
+/// A planned region: the selected candidates in tour order and, for each
+/// target, the index (into `stops`) of the stop it uploads to.
+pub(crate) struct RegionPlan {
+    /// Candidate ids in tour order; the depot, if any, is not listed.
+    pub stops: Vec<usize>,
+    /// `assignment[t]` = index into `stops` of target `t`'s stop.
+    pub assignment: Vec<usize>,
+}
+
+/// The SHDG pipeline over one region, run once per stage:
+///
+/// 1. **cover** — greedy or tour-aware (or capacitated, when
+///    `max_sensors_per_pp` is set), ties broken toward `anchor`;
+/// 2. **prune** — uncapacitated configs only: reverse-delete redundant
+///    stops, most costly first, priced by each stop's removal gain in a
+///    preliminary unpolished tour (the final tour's gains would be
+///    circular);
+/// 3. **tour** — a closed tour through `depot` (leading, when given) and
+///    the stops, polished by `improve_passes` of local search;
+/// 4. **assign** — each target to its nearest stop, or the capacitated
+///    cover's own assignment remapped into tour order.
+///
+/// Flat planning is the region of the whole field with the sink as depot
+/// and anchor; a hierarchical tile is a depot-less region anchored at the
+/// tile center. The instance must be feasible.
+pub(crate) fn plan_region(
+    inst: &CoverageInstance,
+    depot: Option<Point>,
+    anchor: Point,
+    cfg: &PlannerConfig,
+) -> RegionPlan {
+    let (mut selected, cap_assignment) = {
+        let mut sp = mdg_obs::span("cover");
+        sp.add_items(inst.candidates.len() as u64);
+        let near_anchor = |c: usize| inst.candidates[c].pos.dist_sq(anchor);
+        let feasible = "feasibility checked by the caller";
+        match (cfg.max_sensors_per_pp, cfg.covering) {
+            (Some(cap), _) => {
+                let cover = capacitated_greedy_cover(inst, cap, near_anchor).expect(feasible);
+                (cover.selected, Some(cover.assignment))
+            }
+            (None, CoveringStrategy::Greedy) => {
+                (greedy_cover(inst, near_anchor).expect(feasible), None)
+            }
+            (None, CoveringStrategy::TourAware { insertion_weight }) => {
+                let ta = TourAwareConfig {
+                    insertion_weight,
+                    ..TourAwareConfig::default()
+                };
+                let cover = tour_aware_cover(inst, anchor, &ta).expect(feasible);
+                (cover.selected, None)
+            }
+        }
+    };
+
+    if cap_assignment.is_none() && cfg.prune && selected.len() > 1 {
+        let _sp = mdg_obs::span("prune");
+        let prelim = tour_order(inst, depot, &selected, 0);
+        let mut pts: Vec<Point> = mdg_par::scratch::take_cap(prelim.len() + 1);
+        pts.extend(depot);
+        pts.extend(prelim.iter().map(|&i| inst.candidates[selected[i]].pos));
+        let (m, off) = (pts.len(), pts.len() - prelim.len());
+        let mut gain: Vec<f64> = mdg_par::scratch::take_cap(inst.candidates.len());
+        gain.resize(inst.candidates.len(), 0.0);
+        for (k, &i) in prelim.iter().enumerate() {
+            let j = k + off;
+            let (prev, next) = (pts[(j + m - 1) % m], pts[(j + 1) % m]);
+            gain[selected[i]] = prev.dist(pts[j]) + pts[j].dist(next) - prev.dist(next);
+        }
+        selected = prune_cover(inst, &selected, |c| gain[c]);
+        mdg_par::scratch::put(pts);
+        mdg_par::scratch::put(gain);
     }
-    gains
+
+    // `order` permutes `selected` into tour order; it becomes the stops.
+    let mut order = {
+        let mut sp = mdg_obs::span("tour");
+        sp.add_items(selected.len() as u64);
+        tour_order(inst, depot, &selected, cfg.improve_passes)
+    };
+
+    let _sp = mdg_obs::span("assign");
+    // The capacitated assignment indexes `selected`: remap it through the
+    // inverse of the tour permutation.
+    let cap_assignment = cap_assignment.map(|mut assignment| {
+        let mut tour_pos: Vec<usize> = mdg_par::scratch::take_cap(order.len());
+        tour_pos.resize(order.len(), 0);
+        for (k, &i) in order.iter().enumerate() {
+            tour_pos[i] = k;
+        }
+        for a in &mut assignment {
+            *a = tour_pos[*a];
+        }
+        mdg_par::scratch::put(tour_pos);
+        assignment
+    });
+    for i in &mut order {
+        *i = selected[*i];
+    }
+    let assignment =
+        cap_assignment.unwrap_or_else(|| inst.assign(&order).expect("selection is a cover"));
+    RegionPlan {
+        stops: order,
+        assignment,
+    }
+}
+
+/// Tours `depot` (when given) plus the `selected` candidates and returns
+/// the tour as indices into `selected`, depot omitted. The tour is
+/// normalized so that the depot — or, without one, `selected[0]` — leads.
+fn tour_order(
+    inst: &CoverageInstance,
+    depot: Option<Point>,
+    selected: &[usize],
+    improve_passes: usize,
+) -> Vec<usize> {
+    let off = usize::from(depot.is_some());
+    let mut pts: Vec<Point> = mdg_par::scratch::take_cap(selected.len() + off);
+    pts.extend(depot);
+    pts.extend(selected.iter().map(|&c| inst.candidates[c].pos));
+    let improve_cfg = ImproveConfig {
+        max_passes: improve_passes,
+        ..ImproveConfig::default()
+    };
+    let tour = if pts.len() <= 2 {
+        Tour::identity(pts.len())
+    } else if pts.len() <= DENSE_TOUR_LIMIT {
+        let cost = MatrixCost::from_points(&pts);
+        let tour = cheapest_insertion(&cost);
+        if improve_passes > 0 {
+            improve(&cost, tour, &improve_cfg)
+        } else {
+            tour.normalized()
+        }
+    } else {
+        let tour = cheapest_insertion(&EuclideanCost::new(&pts));
+        if improve_passes > 0 {
+            let mut nl = NeighborLists::build(&pts, 10);
+            improve_neighbors(&pts, tour, &improve_cfg, &mut nl)
+        } else {
+            tour.normalized()
+        }
+    };
+    mdg_par::scratch::put(pts);
+    let mut order = tour.into_order();
+    if depot.is_some() {
+        debug_assert_eq!(order[0], 0, "normalized tours lead with the depot");
+        order.remove(0);
+        for i in &mut order {
+            *i -= 1;
+        }
+    }
+    order
 }
 
 /// Convenience: plan with the default configuration.

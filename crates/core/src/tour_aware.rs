@@ -48,28 +48,6 @@ pub struct TourAwareCover {
     pub tour_candidates: Vec<usize>,
 }
 
-/// Cheapest-insertion delta of `p` into the closed tour `tour` (which
-/// includes the sink). For a single-vertex "tour" this is the out-and-back
-/// distance.
-fn insertion_cost(tour: &[Point], p: Point) -> (usize, f64) {
-    debug_assert!(!tour.is_empty());
-    if tour.len() == 1 {
-        return (1, 2.0 * tour[0].dist(p));
-    }
-    let mut best_pos = 1;
-    let mut best = f64::INFINITY;
-    for i in 0..tour.len() {
-        let a = tour[i];
-        let b = tour[(i + 1) % tour.len()];
-        let delta = a.dist(p) + p.dist(b) - a.dist(b);
-        if delta < best {
-            best = delta;
-            best_pos = i + 1;
-        }
-    }
-    (best_pos, best)
-}
-
 /// Sentinel node id for the sink in the incremental tour bookkeeping.
 const SINK: usize = usize::MAX;
 
@@ -125,9 +103,9 @@ const CACHE_CHUNK: usize = 4096;
 /// Runs tour-aware greedy covering. Returns `None` if the instance is
 /// infeasible.
 ///
-/// Incremental implementation of the same selection rule as
-/// [`tour_aware_cover_reference`] (the original full-rescan version, kept
-/// as the executable specification):
+/// Incremental implementation of the same selection rule as the original
+/// full-rescan version (kept as the executable specification in this
+/// module's tests):
 ///
 /// * **Gains** are maintained through an inverted index (target → covering
 ///   candidates): selecting a candidate decrements the gain of every
@@ -215,8 +193,9 @@ pub fn tour_aware_cover(
             inst.candidates[id].pos
         }
     };
-    // Position-order rescan mirroring `insertion_cost`: strict `<`, so the
-    // earliest tour position wins ties, exactly as the reference scans.
+    // Position-order rescan mirroring the reference's `insertion_cost`:
+    // strict `<`, so the earliest tour position wins ties, exactly as the
+    // reference scans.
     let rescan = |p: Point, tour_pts: &[Point], tour_nodes: &[usize]| -> (f64, usize) {
         let mut best = f64::INFINITY;
         let mut after = SINK;
@@ -385,60 +364,6 @@ pub fn tour_aware_cover(
     })
 }
 
-/// The original full-rescan tour-aware covering: every step recounts every
-/// candidate's gain and rescans the whole tour for its cheapest insertion
-/// (`O(steps · candidates · (targets/64 + tour))`). Kept as the executable
-/// specification for [`tour_aware_cover`] and the equivalence suite.
-pub fn tour_aware_cover_reference(
-    inst: &CoverageInstance,
-    sink: Point,
-    cfg: &TourAwareConfig,
-) -> Option<TourAwareCover> {
-    let n = inst.n_targets();
-    let mut covered = BitSet::new(n);
-    let mut selected = Vec::new();
-    let mut tour_pts: Vec<Point> = vec![sink];
-    let mut tour_cands: Vec<usize> = Vec::new(); // parallel to tour_pts[1..]
-    let mut remaining = n;
-
-    while remaining > 0 {
-        let mut best_cand = usize::MAX;
-        let mut best_score = f64::NEG_INFINITY;
-        let mut best_gain = 0usize;
-        let mut best_ins = (0usize, 0.0f64);
-        for (c, cand) in inst.candidates.iter().enumerate() {
-            let gain = cand.covers.count_and_not(&covered);
-            if gain == 0 {
-                continue;
-            }
-            let (pos, ins) = insertion_cost(&tour_pts, cand.pos);
-            let denom = cfg.epsilon + cfg.insertion_weight * ins;
-            let score = gain as f64 / denom.max(f64::MIN_POSITIVE);
-            let better = score > best_score
-                || (score == best_score && gain > best_gain)
-                || (score == best_score && gain == best_gain && ins < best_ins.1);
-            if better {
-                best_score = score;
-                best_cand = c;
-                best_gain = gain;
-                best_ins = (pos, ins);
-            }
-        }
-        if best_cand == usize::MAX {
-            return None;
-        }
-        covered.union_with(&inst.candidates[best_cand].covers);
-        selected.push(best_cand);
-        tour_pts.insert(best_ins.0, inst.candidates[best_cand].pos);
-        tour_cands.insert(best_ins.0 - 1, best_cand);
-        remaining = n - covered.count();
-    }
-    Some(TourAwareCover {
-        selected,
-        tour_candidates: tour_cands,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,6 +371,82 @@ mod tests {
 
     fn line(xs: &[f64]) -> Vec<Point> {
         xs.iter().map(|&x| Point::new(x, 0.0)).collect()
+    }
+
+    /// Cheapest-insertion delta of `p` into the closed tour `tour` (which
+    /// includes the sink). For a single-vertex "tour" this is the out-and-back
+    /// distance.
+    fn insertion_cost(tour: &[Point], p: Point) -> (usize, f64) {
+        debug_assert!(!tour.is_empty());
+        if tour.len() == 1 {
+            return (1, 2.0 * tour[0].dist(p));
+        }
+        let mut best_pos = 1;
+        let mut best = f64::INFINITY;
+        for i in 0..tour.len() {
+            let a = tour[i];
+            let b = tour[(i + 1) % tour.len()];
+            let delta = a.dist(p) + p.dist(b) - a.dist(b);
+            if delta < best {
+                best = delta;
+                best_pos = i + 1;
+            }
+        }
+        (best_pos, best)
+    }
+
+    /// The original full-rescan tour-aware covering: every step recounts every
+    /// candidate's gain and rescans the whole tour for its cheapest insertion
+    /// (`O(steps · candidates · (targets/64 + tour))`). Kept as the executable
+    /// specification for [`tour_aware_cover`].
+    fn tour_aware_cover_reference(
+        inst: &CoverageInstance,
+        sink: Point,
+        cfg: &TourAwareConfig,
+    ) -> Option<TourAwareCover> {
+        let n = inst.n_targets();
+        let mut covered = BitSet::new(n);
+        let mut selected = Vec::new();
+        let mut tour_pts: Vec<Point> = vec![sink];
+        let mut tour_cands: Vec<usize> = Vec::new(); // parallel to tour_pts[1..]
+        let mut remaining = n;
+
+        while remaining > 0 {
+            let mut best_cand = usize::MAX;
+            let mut best_score = f64::NEG_INFINITY;
+            let mut best_gain = 0usize;
+            let mut best_ins = (0usize, 0.0f64);
+            for (c, cand) in inst.candidates.iter().enumerate() {
+                let gain = cand.covers.count_and_not(&covered);
+                if gain == 0 {
+                    continue;
+                }
+                let (pos, ins) = insertion_cost(&tour_pts, cand.pos);
+                let denom = cfg.epsilon + cfg.insertion_weight * ins;
+                let score = gain as f64 / denom.max(f64::MIN_POSITIVE);
+                let better = score > best_score
+                    || (score == best_score && gain > best_gain)
+                    || (score == best_score && gain == best_gain && ins < best_ins.1);
+                if better {
+                    best_score = score;
+                    best_cand = c;
+                    best_gain = gain;
+                    best_ins = (pos, ins);
+                }
+            }
+            if best_cand == usize::MAX {
+                return None;
+            }
+            covered.union_with(&inst.candidates[best_cand].covers);
+            selected.push(best_cand);
+            tour_pts.insert(best_ins.0, inst.candidates[best_cand].pos);
+            tour_cands.insert(best_ins.0 - 1, best_cand);
+            remaining = n - covered.count();
+        }
+        Some(TourAwareCover {
+            selected,
+            tour_candidates: tour_cands,
+        })
     }
 
     #[test]

@@ -1,23 +1,19 @@
 //! Greedy maximum-coverage polling-point selection.
 //!
-//! Two implementations of the same selection rule live here:
+//! [`greedy_cover`] / [`greedy_cover_restricted`] are **lazy-greedy**
+//! (submodular) selection backed by a max-heap of stale marginal gains.
+//! Because coverage gain is submodular (a candidate's gain never grows as
+//! the covered set grows), a heap entry's recorded gain is an upper bound
+//! on its true gain; entries are re-evaluated only when they surface at
+//! the top of the heap. This is the classic Minoux accelerated greedy:
+//! `O(candidates · log candidates)` heap traffic plus a handful of gain
+//! re-evaluations per selection, instead of a full candidate rescan per
+//! selection. The original full-rescan implementations live on as the
+//! executable specification in the crate's `tests/equivalence.rs`, which
+//! checks that the lazy versions reproduce their selection order
+//! **exactly**, tie-breaker included.
 //!
-//! * [`greedy_cover`] / [`greedy_cover_restricted`] — **lazy-greedy**
-//!   (submodular) selection backed by a max-heap of stale marginal gains.
-//!   Because coverage gain is submodular (a candidate's gain never grows as
-//!   the covered set grows), a heap entry's recorded gain is an upper bound
-//!   on its true gain; entries are re-evaluated only when they surface at
-//!   the top of the heap. This is the classic Minoux accelerated greedy:
-//!   `O(candidates · log candidates)` heap traffic plus a handful of gain
-//!   re-evaluations per selection, instead of a full candidate rescan per
-//!   selection.
-//! * [`greedy_cover_reference`] / [`greedy_cover_restricted_reference`] —
-//!   the original full-rescan implementations, retained as the executable
-//!   specification. The equivalence suite in `tests/equivalence.rs` checks
-//!   that the lazy versions reproduce their selection order **exactly**,
-//!   tie-breaker included.
-//!
-//! The tie-breaking contract (shared by both): select the candidate with
+//! The tie-breaking contract: select the candidate with
 //! the largest marginal gain; among equal gains the smallest
 //! `tie_break(candidate)` wins; among equal `(gain, tie)` the smallest
 //! candidate index wins. `tie_break` must be a pure function of the
@@ -143,8 +139,8 @@ where
 /// the instance is infeasible (some target uncovered by every candidate).
 ///
 /// This is the lazy-greedy (accelerated) implementation; it returns the
-/// exact same selection sequence as [`greedy_cover_reference`] for any
-/// pure, non-`NaN` tie-breaker, at a fraction of the cost on large
+/// exact same selection sequence as the full-rescan reference greedy for
+/// any pure, non-`NaN` tie-breaker, at a fraction of the cost on large
 /// instances.
 ///
 /// The classic `ln n + 1` approximation guarantee for minimum set cover
@@ -213,8 +209,7 @@ where
 /// covered by no allowed candidate. Targets outside `targets` are ignored
 /// entirely: they neither need covering nor contribute to gains.
 ///
-/// Lazy-greedy; selection-order-identical to
-/// [`greedy_cover_restricted_reference`].
+/// Lazy-greedy; selection-order-identical to the full-rescan reference.
 ///
 /// ```
 /// use mdg_cover::{greedy_cover_restricted, CoverageInstance};
@@ -281,103 +276,6 @@ where
     Some(selected)
 }
 
-/// Reference full-rescan greedy cover (the original implementation): every
-/// selection step scans all candidates. `O(selections · candidates ·
-/// targets/64)`. Kept as the executable specification that
-/// [`greedy_cover`] is verified against, and for benchmarking the speedup.
-pub fn greedy_cover_reference<F>(inst: &CoverageInstance, tie_break: F) -> Option<Vec<usize>>
-where
-    F: Fn(usize) -> f64,
-{
-    let n = inst.n_targets();
-    let mut covered = BitSet::new(n);
-    let mut selected = Vec::new();
-    let mut remaining = n;
-
-    while remaining > 0 {
-        let mut best = usize::MAX;
-        let mut best_gain = 0usize;
-        let mut best_tie = f64::INFINITY;
-        for (c, cand) in inst.candidates.iter().enumerate() {
-            let gain = cand.covers.count_and_not(&covered);
-            if gain == 0 {
-                continue;
-            }
-            if gain > best_gain {
-                best = c;
-                best_gain = gain;
-                best_tie = tie_break(c);
-            } else if gain == best_gain {
-                let t = tie_break(c);
-                if t < best_tie {
-                    best = c;
-                    best_tie = t;
-                }
-            }
-        }
-        if best == usize::MAX {
-            return None; // Remaining targets are uncoverable.
-        }
-        covered.union_with(&inst.candidates[best].covers);
-        selected.push(best);
-        remaining = n - covered.count();
-    }
-    Some(selected)
-}
-
-/// Reference full-rescan restricted greedy cover; see
-/// [`greedy_cover_reference`].
-pub fn greedy_cover_restricted_reference<F>(
-    inst: &CoverageInstance,
-    targets: &[usize],
-    allowed: &[usize],
-    tie_break: F,
-) -> Option<Vec<usize>>
-where
-    F: Fn(usize) -> f64,
-{
-    let n = inst.n_targets();
-    let wanted = BitSet::from_indices(n, targets);
-    let mut covered = BitSet::new(n);
-    for t in 0..n {
-        if !wanted.get(t) {
-            covered.set(t);
-        }
-    }
-    let mut selected = Vec::new();
-    let mut remaining = wanted.count();
-
-    while remaining > 0 {
-        let mut best = usize::MAX;
-        let mut best_gain = 0usize;
-        let mut best_tie = f64::INFINITY;
-        for &c in allowed {
-            let gain = inst.candidates[c].covers.count_and_not(&covered);
-            if gain == 0 {
-                continue;
-            }
-            if gain > best_gain {
-                best = c;
-                best_gain = gain;
-                best_tie = tie_break(c);
-            } else if gain == best_gain {
-                let t = tie_break(c);
-                if t < best_tie {
-                    best = c;
-                    best_tie = t;
-                }
-            }
-        }
-        if best == usize::MAX {
-            return None; // Some requested target is unreachable.
-        }
-        covered.union_with(&inst.candidates[best].covers);
-        selected.push(best);
-        remaining -= best_gain;
-    }
-    Some(selected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,7 +334,6 @@ mod tests {
         let inst =
             CoverageInstance::grid_candidates(&sensors, &mdg_geom::Aabb::square(100.0), 50.0, 5.0);
         assert_eq!(greedy_cover(&inst, |_| 0.0), None);
-        assert_eq!(greedy_cover_reference(&inst, |_| 0.0), None);
     }
 
     #[test]
@@ -507,34 +404,5 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), sel.len());
-    }
-
-    #[test]
-    fn lazy_matches_reference_on_lines() {
-        // Dense overlap with many exact gain ties; constant tie-breaker
-        // forces the index tie-path.
-        let sensors = line(&[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 90.0]);
-        let inst = CoverageInstance::sensor_sites(&sensors, 11.0);
-        for tie in [0.0f64, 1.0] {
-            let lazy = greedy_cover(&inst, |_| tie).unwrap();
-            let slow = greedy_cover_reference(&inst, |_| tie).unwrap();
-            assert_eq!(lazy, slow);
-        }
-        let lazy = greedy_cover(&inst, |c| sensors[c].x).unwrap();
-        let slow = greedy_cover_reference(&inst, |c| sensors[c].x).unwrap();
-        assert_eq!(lazy, slow);
-    }
-
-    #[test]
-    fn negative_zero_tie_matches_reference() {
-        // A -0.0 tie value must compare equal to 0.0, exactly as the
-        // reference's `<` does — the earlier index must win.
-        let sensors = line(&[0.0, 10.0, 30.0, 40.0]);
-        let inst = CoverageInstance::sensor_sites(&sensors, 11.0);
-        let tie = |c: usize| if c >= 2 { -0.0 } else { 0.0 };
-        assert_eq!(
-            greedy_cover(&inst, tie).unwrap(),
-            greedy_cover_reference(&inst, tie).unwrap()
-        );
     }
 }

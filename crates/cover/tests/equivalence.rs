@@ -9,12 +9,77 @@
 //! exact `-0.0` vs `0.0` bucket values), and a negated coordinate
 //! (descending preference).
 
-use mdg_cover::greedy::{greedy_cover_reference, greedy_cover_restricted_reference};
-use mdg_cover::{greedy_cover, greedy_cover_restricted, CoverageInstance};
+use mdg_cover::{greedy_cover, greedy_cover_restricted, BitSet, CoverageInstance};
 use mdg_geom::Point;
 use mdg_net::DeploymentConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Reference full-rescan greedy cover (the original implementation): every
+/// selection step scans all candidates. `O(selections · candidates ·
+/// targets/64)`. The executable specification [`greedy_cover`] is
+/// verified against.
+fn greedy_cover_reference<F>(inst: &CoverageInstance, tie_break: F) -> Option<Vec<usize>>
+where
+    F: Fn(usize) -> f64,
+{
+    let all: Vec<usize> = (0..inst.n_targets()).collect();
+    let candidates: Vec<usize> = (0..inst.n_candidates()).collect();
+    greedy_cover_restricted_reference(inst, &all, &candidates, tie_break)
+}
+
+/// Reference full-rescan restricted greedy cover: covers `targets` with
+/// candidates from `allowed`, rescanning every allowed candidate per step.
+fn greedy_cover_restricted_reference<F>(
+    inst: &CoverageInstance,
+    targets: &[usize],
+    allowed: &[usize],
+    tie_break: F,
+) -> Option<Vec<usize>>
+where
+    F: Fn(usize) -> f64,
+{
+    let n = inst.n_targets();
+    let wanted = BitSet::from_indices(n, targets);
+    let mut covered = BitSet::new(n);
+    for t in 0..n {
+        if !wanted.get(t) {
+            covered.set(t);
+        }
+    }
+    let mut selected = Vec::new();
+    let mut remaining = wanted.count();
+
+    while remaining > 0 {
+        let mut best = usize::MAX;
+        let mut best_gain = 0usize;
+        let mut best_tie = f64::INFINITY;
+        for &c in allowed {
+            let gain = inst.candidates[c].covers.count_and_not(&covered);
+            if gain == 0 {
+                continue;
+            }
+            if gain > best_gain {
+                best = c;
+                best_gain = gain;
+                best_tie = tie_break(c);
+            } else if gain == best_gain {
+                let t = tie_break(c);
+                if t < best_tie {
+                    best = c;
+                    best_tie = t;
+                }
+            }
+        }
+        if best == usize::MAX {
+            return None; // Some requested target is unreachable.
+        }
+        covered.union_with(&inst.candidates[best].covers);
+        selected.push(best);
+        remaining -= best_gain;
+    }
+    Some(selected)
+}
 
 /// Instance `i` of the sweep: uniform field whose size, density and range
 /// all vary with the index.
@@ -99,4 +164,47 @@ fn restricted_infeasible_subsets_agree_on_none() {
     let naive = greedy_cover_restricted_reference(&inst, &[0, 2], &[0], |_| 0.0);
     assert_eq!(lazy, None);
     assert_eq!(lazy, naive);
+}
+
+#[test]
+fn infeasible_instances_agree_on_none() {
+    // Grid candidates too coarse to reach the lone sensor.
+    let sensors = vec![Point::new(33.0, 33.0)];
+    let inst =
+        CoverageInstance::grid_candidates(&sensors, &mdg_geom::Aabb::square(100.0), 50.0, 5.0);
+    assert_eq!(greedy_cover(&inst, |_| 0.0), None);
+    assert_eq!(greedy_cover_reference(&inst, |_| 0.0), None);
+}
+
+fn line(xs: &[f64]) -> Vec<Point> {
+    xs.iter().map(|&x| Point::new(x, 0.0)).collect()
+}
+
+#[test]
+fn lazy_matches_reference_on_lines() {
+    // Dense overlap with many exact gain ties; constant tie-breaker
+    // forces the index tie-path.
+    let sensors = line(&[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 90.0]);
+    let inst = CoverageInstance::sensor_sites(&sensors, 11.0);
+    for tie in [0.0f64, 1.0] {
+        let lazy = greedy_cover(&inst, |_| tie).unwrap();
+        let slow = greedy_cover_reference(&inst, |_| tie).unwrap();
+        assert_eq!(lazy, slow);
+    }
+    let lazy = greedy_cover(&inst, |c| sensors[c].x).unwrap();
+    let slow = greedy_cover_reference(&inst, |c| sensors[c].x).unwrap();
+    assert_eq!(lazy, slow);
+}
+
+#[test]
+fn negative_zero_tie_matches_reference() {
+    // A -0.0 tie value must compare equal to 0.0, exactly as the
+    // reference's `<` does — the earlier index must win.
+    let sensors = line(&[0.0, 10.0, 30.0, 40.0]);
+    let inst = CoverageInstance::sensor_sites(&sensors, 11.0);
+    let tie = |c: usize| if c >= 2 { -0.0 } else { 0.0 };
+    assert_eq!(
+        greedy_cover(&inst, tie).unwrap(),
+        greedy_cover_reference(&inst, tie).unwrap()
+    );
 }

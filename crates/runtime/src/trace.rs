@@ -354,6 +354,19 @@ mod tests {
     }
 
     #[test]
+    fn too_deep_lines_are_rejected() {
+        // A valid record line followed by a line nested far past the JSON
+        // parser's bound: an error naming the line, not a stack overflow.
+        let record_line = serde_json::to_string(&sample(0)).unwrap();
+        let text = format!("{record_line}\n{}\n", "[".repeat(1 << 20));
+        let err = parse_bundle(&text).unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("nesting"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
     fn headered_bundle_round_trips() {
         let header = sample_header();
         let mut w = TraceWriter::with_header(Vec::new(), &header).unwrap();

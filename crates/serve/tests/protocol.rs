@@ -45,6 +45,25 @@ fn truncated_json_gets_a_bad_json_error() {
 }
 
 #[test]
+fn deeply_nested_lines_get_bad_json_and_the_daemon_survives() {
+    // Each line is far under the default 32 MiB line limit but nests far
+    // deeper than the parser's bound; unbounded recursion would overflow
+    // the connection thread's stack and abort the whole process.
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for hostile in ["[".repeat(1 << 20), "{\"a\":".repeat(100_000)] {
+        let resp = client.send_raw(&hostile).unwrap();
+        assert_eq!(error_code(&resp), "bad_json");
+    }
+    // The connection survives, and the daemon still answers.
+    let resp = client.send_raw("{\"cmd\":\"metrics\"}").unwrap();
+    let ack: Ack = serde_json::from_str(&resp).unwrap();
+    assert!(ack.ok);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn unknown_cmd_and_missing_cmd_are_structured_errors() {
     let server = start(ServeConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();

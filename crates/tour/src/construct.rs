@@ -118,7 +118,7 @@ pub fn greedy_edge<C: CostMatrix>(cost: &C) -> Tour {
 /// cached edge was destroyed are rescanned in full, every other city just
 /// checks the two new edges (a cached delta can only be beaten, never
 /// invalidated, since all other edges survive). This matches the
-/// full-rescan [`cheapest_insertion_reference`] choice-for-choice except
+/// full-rescan reference (kept in this module's tests) choice-for-choice except
 /// when two distinct insertion positions tie to the last bit of the delta,
 /// where the earlier-scanned position wins in the reference and the
 /// earlier-cached one here.
@@ -216,48 +216,6 @@ pub fn cheapest_insertion<C: CostMatrix>(cost: &C) -> Tour {
         if a == 0 {
             break;
         }
-    }
-    Tour::from_order_unchecked(order).normalized()
-}
-
-/// Reference cheapest insertion: full `O(n)`-position × `O(n)`-city rescan
-/// per insertion (`O(n³)` total). Kept as the executable specification for
-/// the incremental [`cheapest_insertion`] and for the equivalence suite.
-pub fn cheapest_insertion_reference<C: CostMatrix>(cost: &C) -> Tour {
-    let n = cost.n();
-    if n <= 2 {
-        return Tour::identity(n);
-    }
-    let seed = (1..n)
-        .min_by(|&a, &b| cost.cost(0, a).partial_cmp(&cost.cost(0, b)).unwrap())
-        .unwrap();
-    let mut order = vec![0usize, seed];
-    let mut in_tour = vec![false; n];
-    in_tour[0] = true;
-    in_tour[seed] = true;
-
-    while order.len() < n {
-        let mut best_city = usize::MAX;
-        let mut best_pos = 0usize;
-        let mut best_delta = f64::INFINITY;
-        #[allow(clippy::needless_range_loop)]
-        for city in 0..n {
-            if in_tour[city] {
-                continue;
-            }
-            for pos in 0..order.len() {
-                let a = order[pos];
-                let b = order[(pos + 1) % order.len()];
-                let delta = cost.cost(a, city) + cost.cost(city, b) - cost.cost(a, b);
-                if delta < best_delta {
-                    best_delta = delta;
-                    best_city = city;
-                    best_pos = pos + 1;
-                }
-            }
-        }
-        order.insert(best_pos, best_city);
-        in_tour[best_city] = true;
     }
     Tour::from_order_unchecked(order).normalized()
 }
@@ -422,6 +380,64 @@ mod tests {
         (0..n)
             .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
             .collect()
+    }
+
+    /// Reference cheapest insertion: full `O(n)`-position × `O(n)`-city rescan
+    /// per insertion (`O(n³)` total). The executable specification for the
+    /// incremental [`cheapest_insertion`].
+    fn cheapest_insertion_reference<C: CostMatrix>(cost: &C) -> Tour {
+        let n = cost.n();
+        if n <= 2 {
+            return Tour::identity(n);
+        }
+        let seed = (1..n)
+            .min_by(|&a, &b| cost.cost(0, a).partial_cmp(&cost.cost(0, b)).unwrap())
+            .unwrap();
+        let mut order = vec![0usize, seed];
+        let mut in_tour = vec![false; n];
+        in_tour[0] = true;
+        in_tour[seed] = true;
+
+        while order.len() < n {
+            let mut best_city = usize::MAX;
+            let mut best_pos = 0usize;
+            let mut best_delta = f64::INFINITY;
+            #[allow(clippy::needless_range_loop)]
+            for city in 0..n {
+                if in_tour[city] {
+                    continue;
+                }
+                for pos in 0..order.len() {
+                    let a = order[pos];
+                    let b = order[(pos + 1) % order.len()];
+                    let delta = cost.cost(a, city) + cost.cost(city, b) - cost.cost(a, b);
+                    if delta < best_delta {
+                        best_delta = delta;
+                        best_city = city;
+                        best_pos = pos + 1;
+                    }
+                }
+            }
+            order.insert(best_pos, best_city);
+            in_tour[best_city] = true;
+        }
+        Tour::from_order_unchecked(order).normalized()
+    }
+
+    #[test]
+    fn incremental_matches_reference_on_random_points() {
+        // Uniform random coordinates: no two insertion deltas tie to the
+        // last bit, so the two implementations must agree choice for
+        // choice.
+        for seed in 0..40u64 {
+            let n = 3 + (seed as usize * 7) % 90;
+            let pts = random_points(n, 500 + seed);
+            let dense = MatrixCost::from_points(&pts);
+            let reference = cheapest_insertion_reference(&dense);
+            assert_eq!(cheapest_insertion(&dense), reference, "seed {seed}, n {n}");
+            let sparse = EuclideanCost::new(&pts);
+            assert_eq!(cheapest_insertion(&sparse), reference, "seed {seed}, n {n}");
+        }
     }
 
     fn assert_valid_tour(t: &Tour, n: usize) {

@@ -45,8 +45,7 @@ pub mod three_opt;
 pub mod tour;
 
 pub use construct::{
-    cheapest_insertion, cheapest_insertion_reference, christofides_like, greedy_edge, mst_2approx,
-    nearest_neighbor,
+    cheapest_insertion, christofides_like, greedy_edge, mst_2approx, nearest_neighbor,
 };
 pub use cost::{CostMatrix, EuclideanCost, MatrixCost};
 pub use exact::held_karp;
